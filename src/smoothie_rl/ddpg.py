@@ -10,7 +10,6 @@ equivalence stays a real check.
 from __future__ import annotations
 
 import copy
-import time
 
 import numpy as np
 
@@ -18,15 +17,13 @@ from .deriv_net import (
     AdamState,
     DerivNet,
     DivergenceError,
-    actor_net,
     adam_step,
     clip_global_norm,
-    critic_net,
     huber,
     polyak_update,
 )
-from .replay import Batch, ReplayBuffer, Transition
-from .smoothie import TrainLog, TrainerConfig, _seed_streams, shift_output_bias
+from .replay import Batch
+from .smoothie import Trainer, TrainerConfig
 
 
 class OuNoise:
@@ -95,29 +92,15 @@ def ddpg_actor_update(
     return float(np.linalg.norm(direction))
 
 
-class DdpgTrainer:
+class DdpgTrainer(Trainer):
     """Collection with OU exploration, one critic and one actor update per step."""
 
     def __init__(self, env, cfg: TrainerConfig):
-        cfg.validate()
-        self.env = env
-        self.cfg = cfg
-        self.rngs = _seed_streams(cfg.seed)
-        d_s, d_a = env.spec.obs_dim, env.spec.action_dim
-        self.actor = actor_net(d_s, d_a, cfg.hidden, self.rngs["init"])
-        if cfg.mu_init is not None:
-            ref = env.reset(np.random.default_rng(0))
-            shift_output_bias(self.actor, ref, np.full(d_a, cfg.mu_init))
-        self.critic = critic_net(d_s, d_a, cfg.hidden, self.rngs["init"])
+        super().__init__(env, cfg)
         self.actor_target = self.actor.clone()
-        self.critic_target = self.critic.clone()
-        self.noise = OuNoise(d_a, cfg.ou_damping, cfg.ou_stddev)
-        self.buffer = ReplayBuffer(cfg.buffer_capacity)
+        self.noise = OuNoise(env.spec.action_dim, cfg.ou_damping, cfg.ou_stddev)
         self.opt_actor = AdamState.for_params(self.actor.n_params)
-        self.opt_critic = AdamState.for_params(self.critic.n_params)
-        self.episode_returns: list[float] = []
         self.eval_returns: list[tuple[int, float]] = []
-        self.log = TrainLog()
 
     def _eval_episode(self) -> float:
         env = copy.deepcopy(self.env)
@@ -132,64 +115,26 @@ class DdpgTrainer:
             obs = sr.next_observation
         return total
 
-    def train(self) -> TrainLog:
-        cfg = self.cfg
-        env, rngs = self.env, self.rngs
-        obs = env.reset(rngs["env"])
-        ep_return = 0.0
-        window: list[float] = []
-        last_return = 0.0
-        last_td = 0.0
-        sigma = cfg.ou_stddev
-        t0 = time.perf_counter()
-        try:
-            for step in range(1, cfg.total_steps + 1):
-                action = self.actor.forward(obs) + self.noise.step(rngs["act"])
-                sr = env.step(action, rngs["env"])
-                self.buffer.push(
-                    Transition(
-                        state=obs,
-                        action=action,
-                        reward=cfg.reward_scale * sr.reward,
-                        next_state=sr.next_observation,
-                        done=sr.done,
-                    )
-                )
-                ep_return += sr.reward
-                if sr.done:
-                    window.append(ep_return)
-                    self.episode_returns.append(ep_return)
-                    ep_return = 0.0
-                    obs = env.reset(rngs["env"])
-                else:
-                    obs = sr.next_observation
-                if len(self.buffer) >= cfg.batch_size:
-                    batch = self.buffer.sample(cfg.batch_size, rngs["replay"])
-                    ddpg_actor_update(self.actor, self.critic, batch, cfg, self.opt_actor)
-                    batch = self.buffer.sample(cfg.batch_size, rngs["replay"])
-                    last_td = ddpg_critic_update(
-                        self.critic, self.critic_target, self.actor_target, batch, cfg,
-                        self.opt_critic,
-                    )
-                    self.actor_target.set_params(
-                        polyak_update(self.actor_target.get_params(), self.actor.get_params(), cfg.tau)
-                    )
-                    self.critic_target.set_params(
-                        polyak_update(self.critic_target.get_params(), self.critic.get_params(), cfg.tau)
-                    )
-                if step % cfg.eval_interval == 0:
-                    self.eval_returns.append((step, self._eval_episode()))
-                if step % cfg.record_interval == 0:
-                    if window:
-                        last_return = float(np.mean(window))
-                        window.clear()
-                    ms = (time.perf_counter() - t0) * 1e3 if cfg.wallclock else 0.0
-                    self.log.append(step, last_return, sigma, sigma, sigma, 0.0, last_td, ms)
-        except DivergenceError as err:
-            err.partial_log = self.log  # type: ignore[attr-defined]
-            raise
-        return self.log
+    def _act(self, obs):
+        return self.actor.forward(obs) + self.noise.step(self.rngs["act"]), None
 
+    def _update(self, step: int) -> float | None:
+        cfg, rngs = self.cfg, self.rngs
+        td = None
+        if len(self.buffer) >= cfg.batch_size:
+            batch = self.buffer.sample(cfg.batch_size, rngs["replay"])
+            ddpg_actor_update(self.actor, self.critic, batch, cfg, self.opt_actor)
+            batch = self.buffer.sample(cfg.batch_size, rngs["replay"])
+            td = ddpg_critic_update(
+                self.critic, self.critic_target, self.actor_target, batch, cfg, self.opt_critic
+            )
+            self.actor_target.set_params(
+                polyak_update(self.actor_target.get_params(), self.actor.get_params(), cfg.tau)
+            )
+        if step % cfg.eval_interval == 0:
+            self.eval_returns.append((step, self._eval_episode()))
+        return td
 
-def train_ddpg(env, cfg: TrainerConfig) -> TrainLog:
-    return DdpgTrainer(env, cfg).train()
+    def _record_stats(self):
+        sigma = self.cfg.ou_stddev
+        return sigma, sigma, sigma, 0.0

@@ -25,7 +25,7 @@ global-norm clipping, and a flat-array checkpoint format.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -110,56 +110,22 @@ def hermite_rule(order: int) -> QuadratureRule:
     return QuadratureRule(order=order, nodes=nodes, weights=weights)
 
 
-def _eval_vectorized(f, points: np.ndarray) -> np.ndarray:
-    try:
-        vals = np.asarray(f(points), dtype=float)
-        if vals.shape == points.shape[: vals.ndim] and vals.shape[0] == points.shape[0]:
-            return vals.reshape(points.shape[0], -1)[:, 0] if vals.ndim > 1 else vals
-    except Exception:
-        pass
-    return np.array([float(f(p)) for p in points])
-
-
 def gh_quadrature(f, center: float, variance: float, order: int = 64) -> float:
-    """E[f(x)] for x ~ N(center, variance), by Gauss-Hermite quadrature."""
+    """E[f(x)] for x ~ N(center, variance), by Gauss-Hermite quadrature.
+
+    ``f`` is called once, on the array of nodes, and must return one value
+    per node.
+    """
     if not np.isfinite(variance) or variance <= 0.0:
         raise ValueError(f"variance must be positive and finite, got {variance}")
     rule = hermite_rule(order)
     pts = center + np.sqrt(2.0 * variance) * rule.nodes
-    vals = _eval_vectorized(f, pts)
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.shape != pts.shape:
+        raise ValueError(f"integrand returned shape {vals.shape} for nodes of shape {pts.shape}")
     if not np.all(np.isfinite(vals)):
         raise FloatingPointError("non-finite integrand values in quadrature")
     return float(np.dot(rule.weights, vals) / SQRT_PI)
-
-
-def gh_quadrature_diag(f, center: np.ndarray, variances: np.ndarray, order: int = 64) -> float:
-    """Tensor-product quadrature for dimension 1 or 2 with diagonal covariance.
-
-    f takes an (n, d) array of points and returns n values.
-    """
-    center = np.atleast_1d(np.asarray(center, dtype=float))
-    variances = np.atleast_1d(np.asarray(variances, dtype=float))
-    d = center.shape[0]
-    if d not in (1, 2):
-        raise ValueError(f"tensor-product quadrature supports d <= 2, got d={d}")
-    if np.any(variances <= 0.0) or not np.all(np.isfinite(variances)):
-        raise ValueError("variances must be positive and finite")
-    rule = hermite_rule(order)
-    if d == 1:
-        pts = (center[0] + np.sqrt(2.0 * variances[0]) * rule.nodes)[:, None]
-        w = rule.weights / SQRT_PI
-    else:
-        g0 = center[0] + np.sqrt(2.0 * variances[0]) * rule.nodes
-        g1 = center[1] + np.sqrt(2.0 * variances[1]) * rule.nodes
-        xx, yy = np.meshgrid(g0, g1, indexing="ij")
-        pts = np.stack([xx.ravel(), yy.ravel()], axis=1)
-        w = np.outer(rule.weights, rule.weights).ravel() / (SQRT_PI * SQRT_PI)
-    vals = np.asarray(f(pts), dtype=float).reshape(-1)
-    if vals.shape[0] != pts.shape[0]:
-        raise ValueError("integrand returned wrong number of values")
-    if not np.all(np.isfinite(vals)):
-        raise FloatingPointError("non-finite integrand values in quadrature")
-    return float(np.dot(w, vals))
 
 
 def density_derivative(k: int, x: np.ndarray, a: np.ndarray, var: np.ndarray):

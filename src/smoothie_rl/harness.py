@@ -18,7 +18,7 @@ import numpy as np
 from .ddpg import DdpgTrainer
 from .deriv_net import DivergenceError
 from .envs import BumpsBandit, PointMass
-from .smoothie import SmoothieTrainer, TrainerConfig, TrainLog
+from .smoothie import CONFIG_RANGES, SmoothieTrainer, TrainerConfig, TrainLog
 
 ALGORITHMS = ("smoothie", "smoothie_kl", "ddpg")
 ENVIRONMENTS = ("bumps", "pointmass")
@@ -109,35 +109,6 @@ def default_run_config(algorithm: str, environment: str) -> RunConfig:
 
 
 _TRAINER_FIELDS = {f.name: f for f in fields(TrainerConfig) if f.name != "seed"}
-
-# per-key range checks applied at parse time so errors carry line numbers
-_RANGE = {
-    "gamma": (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
-    "tau": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
-    "actor_lr": (lambda v: v > 0.0, "must be positive"),
-    "phi_lr": (lambda v: v is None or v > 0.0, "must be positive or none"),
-    "critic_lr": (lambda v: v > 0.0, "must be positive"),
-    "reward_scale": (lambda v: v > 0.0, "must be positive"),
-    "huber_clip": (lambda v: v > 0.0, "must be positive"),
-    "q_grad_clip": (lambda v: v > 0.0, "must be positive"),
-    "kl_coeff": (lambda v: v >= 0.0, "must be nonnegative"),
-    "batch_size": (lambda v: v >= 1, "must be >= 1"),
-    "total_steps": (lambda v: v >= 1, "must be >= 1"),
-    "warmup_steps": (lambda v: v >= 0, "must be >= 0"),
-    "buffer_capacity": (lambda v: v >= 1, "must be >= 1"),
-    "record_interval": (lambda v: v >= 1, "must be >= 1"),
-    "eval_interval": (lambda v: v >= 1, "must be >= 1"),
-    "quad_order": (lambda v: v >= 1, "must be >= 1"),
-    "mc_fit_samples": (lambda v: v >= 1, "must be >= 1"),
-    "fd_step": (lambda v: v > 0.0, "must be positive"),
-    "fd_step2": (lambda v: v > 0.0, "must be positive"),
-    "ou_damping": (lambda v: v > 0.0, "must be positive"),
-    "ou_stddev": (lambda v: v > 0.0, "must be positive"),
-    "hidden": (lambda v: len(v) >= 2 and all(w >= 1 for w in v),
-               "needs at least two positive widths"),
-    "phi_optimizer": (lambda v: v in ("adam", "sgd"), "must be adam or sgd"),
-}
-
 
 def _parse_bool(raw: str, key: str, lineno: int) -> bool:
     low = raw.lower()
@@ -242,8 +213,8 @@ def parse_config(text: str) -> RunConfig:
         if key not in _TRAINER_FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         value = _coerce(key, raw, lineno)
-        if key in _RANGE:
-            ok, msg = _RANGE[key]
+        if key in CONFIG_RANGES:
+            ok, msg = CONFIG_RANGES[key]
             if not ok(value):
                 raise ConfigError(f"line {lineno}: {key} {msg}, got {raw}")
         setattr(cfg.trainer, key, value)

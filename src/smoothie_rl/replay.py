@@ -109,22 +109,13 @@ def stack_batch(batch: list[Transition]) -> Batch:
     return Batch(S, A, R, S2, D, logq)
 
 
-def phantom_actions(batch: Batch | list[Transition], variance_source, rng: np.random.Generator) -> np.ndarray:
+def phantom_actions(batch: Batch, variance, rng: np.random.Generator) -> np.ndarray:
     """Resample each stored action from a Gaussian centred on it.
 
-    ``batch`` is a ``Batch`` or a list of transitions, which is stacked
-    first.  ``variance_source`` is either a per-dimension variance vector
-    shared by every state or a callable mapping a state (a row of
-    ``batch.S``) to one.
+    ``variance`` is the per-dimension variance vector shared by every row.
     """
-    if not isinstance(batch, Batch):
-        batch = stack_batch(batch)
-    A = batch.A
-    if callable(variance_source):
-        var = np.stack([np.asarray(variance_source(s), dtype=float) for s in batch.S])
-    else:
-        var = np.asarray(variance_source, dtype=float)
-        var = np.broadcast_to(var, A.shape)
+    var = np.asarray(variance, dtype=float)
     if np.any(var < 0.0) or not np.all(np.isfinite(var)):
         raise ValueError("phantom variances must be finite and nonnegative")
+    A = batch.A
     return A + np.sqrt(var) * rng.standard_normal(A.shape)

@@ -6,13 +6,14 @@ critic's action gradient evaluated at the mean, and the policy covariance
 ascends half the critic's action Hessian, which equals the covariance
 gradient of the smoothed value.  An optional KL penalty with coefficient
 ``kl_coeff`` pulls each update toward the slowly moving target policy.
+The collection loop, ``Trainer.train``, is shared with the DDPG baseline.
 """
 
 from __future__ import annotations
 
 import io
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +38,33 @@ VAR_MIN = 1e-8
 VAR_MAX = 1e4
 
 TRAIN_LOG_COLUMNS = ("step", "return_mean", "sigma_min", "sigma_mean", "sigma_max", "kl", "td_loss", "ms")
+
+
+# Allowed range of each bounded TrainerConfig field: (test, what it must be).
+# TrainerConfig.validate applies it, and harness.parse_config applies it per
+# line so that an error names the offending line.
+CONFIG_RANGES = {
+    "gamma": (lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+    "tau": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
+    "actor_lr": (lambda v: v > 0.0, "must be positive"),
+    "phi_lr": (lambda v: v is None or v > 0.0, "must be positive or none"),
+    "phi_optimizer": (lambda v: v in ("adam", "sgd"), "must be adam or sgd"),
+    "critic_lr": (lambda v: v > 0.0, "must be positive"),
+    "reward_scale": (lambda v: v > 0.0, "must be positive"),
+    "huber_clip": (lambda v: v > 0.0, "must be positive"),
+    "q_grad_clip": (lambda v: v > 0.0, "must be positive"),
+    "kl_coeff": (lambda v: v >= 0.0, "must be nonnegative"),
+    "batch_size": (lambda v: v >= 1, "must be >= 1"),
+    "total_steps": (lambda v: v >= 1, "must be >= 1"),
+    "warmup_steps": (lambda v: v >= 0, "must be >= 0"),
+    "buffer_capacity": (lambda v: v >= 1, "must be >= 1"),
+    "record_interval": (lambda v: v >= 1, "must be >= 1"),
+    "eval_interval": (lambda v: v >= 1, "must be >= 1"),
+    "ou_damping": (lambda v: v > 0.0, "must be positive"),
+    "ou_stddev": (lambda v: v > 0.0, "must be positive"),
+    "hidden": (lambda v: len(v) >= 2 and all(w >= 1 for w in v),
+               "needs at least two positive widths"),
+}
 
 
 @dataclass
@@ -65,12 +93,8 @@ class TrainerConfig:
     buffer_capacity: int = 100_000
     record_interval: int = 100
     eval_interval: int = 1000
-    quad_order: int = 64
-    fd_step: float = 1e-4
-    fd_step2: float = 3e-3
     ou_damping: float = 3.162e-4
     ou_stddev: float = 0.0316
-    mc_fit_samples: int = 8
     track_behavior_density: bool = False
     freeze_sigma: bool = False
     mu_init: float | None = None
@@ -78,35 +102,10 @@ class TrainerConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if not 0.0 <= self.gamma < 1.0:
-            raise ValueError(f"gamma must lie in [0, 1), got {self.gamma}")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError(f"tau must lie in (0, 1], got {self.tau}")
-        for name in ("actor_lr", "critic_lr", "reward_scale", "huber_clip"):
-            v = getattr(self, name)
-            if v <= 0.0:
-                raise ValueError(f"{name} must be positive, got {v}")
-        if self.phi_lr is not None and self.phi_lr <= 0.0:
-            raise ValueError(f"phi_lr must be positive when set, got {self.phi_lr}")
-        if self.phi_optimizer not in ("adam", "sgd"):
-            raise ValueError(f"phi_optimizer must be 'adam' or 'sgd', got {self.phi_optimizer!r}")
-        for name in ("batch_size", "total_steps", "buffer_capacity", "record_interval",
-                     "eval_interval", "quad_order", "mc_fit_samples"):
-            v = getattr(self, name)
-            if v < 1:
-                raise ValueError(f"{name} must be >= 1, got {v}")
-        if self.kl_coeff < 0.0:
-            raise ValueError(f"kl_coeff must be nonnegative, got {self.kl_coeff}")
-        if self.warmup_steps < 0:
-            raise ValueError(f"warmup_steps must be nonnegative, got {self.warmup_steps}")
-        if self.q_grad_clip <= 0.0:
-            raise ValueError(f"q_grad_clip must be positive, got {self.q_grad_clip}")
-        if self.fd_step <= 0.0 or self.fd_step2 <= 0.0:
-            raise ValueError("finite-difference steps must be positive")
-        if self.ou_damping <= 0.0 or self.ou_stddev <= 0.0:
-            raise ValueError("OU parameters must be positive")
-        if len(self.hidden) < 2 or any(w < 1 for w in self.hidden):
-            raise ValueError(f"hidden widths must be >= 1 and at least two layers, got {self.hidden}")
+        for name, (ok, msg) in CONFIG_RANGES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"{name} {msg}, got {value!r}")
 
 
 class TrainLog:
@@ -303,39 +302,6 @@ def policy_update(
     return kl_mean, norms
 
 
-def fit_smoothed_from_expected(
-    expected_critic: DerivNet,
-    smoothed_critic: DerivNet,
-    policy: SmoothiePolicy,
-    batch: Batch,
-    cfg: TrainerConfig,
-    opt: AdamState,
-    rng: np.random.Generator,
-) -> float:
-    """One step fitting the smoothed critic to a Monte Carlo average of the expected critic.
-
-    Targets are (1/M) sum_m Q(s, a_m) with a_m drawn around the stored action
-    from the policy covariance; returns the pre-step squared-error loss.
-    """
-    S, A = batch.S, batch.A
-    B, da = A.shape
-    M = cfg.mc_fit_samples
-    std = np.exp(0.5 * policy.log_var)
-    draws = A[:, None, :] + std * rng.standard_normal((B, M, da))
-    S_rep = np.repeat(S, M, axis=0)
-    q_exp = expected_critic.forward(S_rep, draws.reshape(B * M, da))[:, 0]
-    targets = q_exp.reshape(B, M).mean(axis=1)
-    q, vjp = smoothed_critic.param_vjp(S, A)
-    resid = q[:, 0] - targets
-    loss = float(np.mean(resid**2))
-    if not np.isfinite(loss):
-        raise DivergenceError("non-finite fit loss")
-    grad = vjp((2.0 * resid / B)[:, None])
-    grad = clip_global_norm(grad, cfg.q_grad_clip)
-    smoothed_critic.set_params(adam_step(smoothed_critic.get_params(), grad, cfg.critic_lr, opt))
-    return loss
-
-
 # ------------------------------------------------------------------- trainer
 
 
@@ -345,8 +311,16 @@ def _seed_streams(seed: int):
     return dict(zip(names, (np.random.default_rng(c) for c in ss.spawn(len(names)))))
 
 
-class SmoothieTrainer:
-    """Interleaves collection with one policy and one critic update per step."""
+class Trainer:
+    """One collection loop shared by the smoothed-critic and DDPG trainers.
+
+    Each step acts, steps the environment, stores the transition, runs the
+    subclass's per-step update and, every ``record_interval`` steps, appends
+    a TrainLog row.  The base builds what both trainers share: the actor
+    (the smoothed trainer's mean net) shifted by ``mu_init``, the critic, its
+    target and Adam state, and the replay buffer.  Subclasses supply
+    ``_act``, ``_update`` and ``_record_stats``.
+    """
 
     def __init__(self, env, cfg: TrainerConfig):
         cfg.validate()
@@ -354,23 +328,31 @@ class SmoothieTrainer:
         self.cfg = cfg
         self.rngs = _seed_streams(cfg.seed)
         d_s, d_a = env.spec.obs_dim, env.spec.action_dim
-        mean_net = actor_net(d_s, d_a, cfg.hidden, self.rngs["init"])
+        self.actor = actor_net(d_s, d_a, cfg.hidden, self.rngs["init"])
         if cfg.mu_init is not None:
             ref = env.reset(np.random.default_rng(0))
-            shift_output_bias(mean_net, ref, np.full(d_a, cfg.mu_init))
-        self.policy = SmoothiePolicy(mean_net, d_a, cfg.phi_init)
+            shift_output_bias(self.actor, ref, np.full(d_a, cfg.mu_init))
         self.critic = critic_net(d_s, d_a, cfg.hidden, self.rngs["init"])
         self.critic_target = self.critic.clone()
         self.buffer = ReplayBuffer(cfg.buffer_capacity)
-        self.opt_theta = AdamState.for_params(mean_net.n_params)
-        self.opt_phi = AdamState.for_params(d_a)
         self.opt_critic = AdamState.for_params(self.critic.n_params)
         self.episode_returns: list[float] = []
         self.log = TrainLog()
 
-    def _sigma_stats(self):
-        s = self.policy.sigma
-        return float(s.min()), float(s.mean()), float(s.max())
+    def _act(self, obs):
+        """The exploratory action at ``obs`` and its log density to store, or None."""
+        raise NotImplementedError
+
+    def _update(self, step: int) -> float | None:
+        """The updates after collecting ``step``; returns the critic's TD loss if it stepped.
+
+        A returned loss also moves the critic target toward the critic.
+        """
+        raise NotImplementedError
+
+    def _record_stats(self) -> tuple[float, float, float, float]:
+        """(sigma_min, sigma_mean, sigma_max, kl) for the next log row."""
+        raise NotImplementedError
 
     def train(self) -> TrainLog:
         cfg = self.cfg
@@ -379,12 +361,11 @@ class SmoothieTrainer:
         ep_return = 0.0
         window: list[float] = []
         last_return = 0.0
-        last_kl = 0.0
         last_td = 0.0
         t0 = time.perf_counter()
         try:
             for step in range(1, cfg.total_steps + 1):
-                action, logp = self.policy.act(obs, rngs["act"])
+                action, logp = self._act(obs)
                 sr = env.step(action, rngs["env"])
                 self.buffer.push(
                     Transition(
@@ -393,7 +374,7 @@ class SmoothieTrainer:
                         reward=cfg.reward_scale * sr.reward,
                         next_state=sr.next_observation,
                         done=sr.done,
-                        behavior_log_density=logp if cfg.track_behavior_density else None,
+                        behavior_log_density=logp,
                     )
                 )
                 ep_return += sr.reward
@@ -404,18 +385,9 @@ class SmoothieTrainer:
                     obs = env.reset(rngs["env"])
                 else:
                     obs = sr.next_observation
-                if len(self.buffer) >= cfg.batch_size:
-                    if step > cfg.warmup_steps:
-                        batch = self.buffer.sample(cfg.batch_size, rngs["replay"])
-                        last_kl, _ = policy_update(
-                            self.policy, self.critic, batch, cfg, self.opt_theta, self.opt_phi
-                        )
-                    batch = self.buffer.sample(cfg.batch_size, rngs["replay"])
-                    last_td = critic_update(
-                        self.critic, self.critic_target, self.policy, batch, cfg,
-                        self.opt_critic, rngs["phantom"],
-                    )
-                    self.policy.polyak_targets(cfg.tau)
+                td = self._update(step)
+                if td is not None:
+                    last_td = td
                     self.critic_target.set_params(
                         polyak_update(
                             self.critic_target.get_params(), self.critic.get_params(), cfg.tau
@@ -425,14 +397,45 @@ class SmoothieTrainer:
                     if window:
                         last_return = float(np.mean(window))
                         window.clear()
-                    smin, smean, smax = self._sigma_stats()
                     ms = (time.perf_counter() - t0) * 1e3 if cfg.wallclock else 0.0
-                    self.log.append(step, last_return, smin, smean, smax, last_kl, last_td, ms)
+                    self.log.append(step, last_return, *self._record_stats(), last_td, ms)
         except DivergenceError as err:
             err.partial_log = self.log  # type: ignore[attr-defined]
             raise
         return self.log
 
 
-def train(env, cfg: TrainerConfig) -> TrainLog:
-    return SmoothieTrainer(env, cfg).train()
+class SmoothieTrainer(Trainer):
+    """Interleaves collection with one policy and one critic update per step."""
+
+    def __init__(self, env, cfg: TrainerConfig):
+        super().__init__(env, cfg)
+        d_a = env.spec.action_dim
+        self.policy = SmoothiePolicy(self.actor, d_a, cfg.phi_init)
+        self.opt_theta = AdamState.for_params(self.actor.n_params)
+        self.opt_phi = AdamState.for_params(d_a)
+        self.last_kl = 0.0
+
+    def _act(self, obs):
+        action, logp = self.policy.act(obs, self.rngs["act"])
+        return action, (logp if self.cfg.track_behavior_density else None)
+
+    def _update(self, step: int) -> float | None:
+        cfg, rngs = self.cfg, self.rngs
+        if len(self.buffer) < cfg.batch_size:
+            return None
+        if step > cfg.warmup_steps:
+            batch = self.buffer.sample(cfg.batch_size, rngs["replay"])
+            self.last_kl, _ = policy_update(
+                self.policy, self.critic, batch, cfg, self.opt_theta, self.opt_phi
+            )
+        batch = self.buffer.sample(cfg.batch_size, rngs["replay"])
+        td = critic_update(
+            self.critic, self.critic_target, self.policy, batch, cfg, self.opt_critic, rngs["phantom"]
+        )
+        self.policy.polyak_targets(cfg.tau)
+        return td
+
+    def _record_stats(self):
+        s = self.policy.sigma
+        return float(s.min()), float(s.mean()), float(s.max()), self.last_kl

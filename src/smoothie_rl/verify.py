@@ -16,7 +16,7 @@ import numpy as np
 
 from .deriv_net import DerivNet, critic_net, actor_net
 from .envs import BumpsBandit, EnvSpec, StepResult
-from .gauss_math import density_derivative, gh_quadrature, hermite_rule
+from .gauss_math import gh_quadrature
 
 FD_STEP = 1e-4  # first derivatives
 FD_STEP2 = 3e-3  # second derivatives

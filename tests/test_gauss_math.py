@@ -11,7 +11,6 @@ from smoothie_rl.gauss_math import (
     density,
     density_derivative,
     gh_quadrature,
-    gh_quadrature_diag,
     hermite_rule,
     kl_divergence,
     kl_terms,
@@ -202,33 +201,20 @@ def test_gh_quadrature_rejects_non_finite_integrand():
         gh_quadrature(lambda x: np.where(x > 0, np.inf, 0.0), 0.0, 1.0)
 
 
-def test_gh_quadrature_scalar_only_integrand():
-    # non-vectorizable integrands fall back to a point loop
-    def f(x):
-        return float(x) ** 2 if np.isscalar(x) or np.ndim(x) == 0 else (_ for _ in ()).throw(TypeError)
+def test_gh_quadrature_surfaces_integrand_errors():
+    # the integrand is called once on the node array: its own errors and a
+    # result without one value per node both reach the caller
+    def scalar_only(x):
+        if np.ndim(x):
+            raise TypeError("scalar only")
+        return x * x
 
-    assert gh_quadrature(f, 0.0, 1.0, order=8) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_gh_quadrature_diag_matches_1d():
-    f1 = lambda x: np.sin(x)
-    fd = lambda pts: np.sin(pts[:, 0])
-    a = gh_quadrature(f1, 0.3, 0.5, order=32)
-    b = gh_quadrature_diag(fd, np.array([0.3]), np.array([0.5]), order=32)
-    assert b == pytest.approx(a, rel=1e-12)
-
-
-def test_gh_quadrature_diag_2d_product_structure():
-    # separable integrand: E[f(x) g(y)] = E[f] E[g]
-    fd = lambda pts: np.sin(pts[:, 0]) * np.cos(pts[:, 1])
-    got = gh_quadrature_diag(fd, np.array([0.2, -0.4]), np.array([0.3, 0.7]), order=32)
-    want = gh_quadrature(np.sin, 0.2, 0.3, 32) * gh_quadrature(np.cos, -0.4, 0.7, 32)
-    assert got == pytest.approx(want, rel=1e-10)
-
-
-def test_gh_quadrature_diag_rejects_high_dimension():
-    with pytest.raises(ValueError):
-        gh_quadrature_diag(lambda p: p[:, 0], np.zeros(3), np.ones(3))
+    with pytest.raises(TypeError, match="scalar only"):
+        gh_quadrature(scalar_only, 0.0, 1.0, order=8)
+    with pytest.raises(ValueError, match="shape"):
+        gh_quadrature(lambda x: np.sum(x * x), 0.0, 1.0, order=8)
+    with pytest.raises(ValueError, match="shape"):
+        gh_quadrature(lambda x: np.stack([x, x], axis=1), 0.0, 1.0, order=8)
 
 
 # -------------------------------------------------------- density derivatives

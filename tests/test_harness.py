@@ -1,7 +1,6 @@
 """Config parsing, seeded runs and their artifacts, random search, CLI codes."""
 
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest

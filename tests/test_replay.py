@@ -102,7 +102,7 @@ def test_stack_batch_columns():
 
 
 def test_phantom_actions_center_and_spread():
-    batch = [_t(0.0) for _ in range(4000)]
+    batch = stack_batch([_t(0.0) for _ in range(4000)])
     var = np.array([0.25])
     draws = phantom_actions(batch, var, np.random.default_rng(0))
     assert draws.shape == (4000, 1)
@@ -111,22 +111,11 @@ def test_phantom_actions_center_and_spread():
 
 
 def test_phantom_actions_zero_variance_returns_stored():
-    batch = [_t(float(i)) for i in range(5)]
+    batch = stack_batch([_t(float(i)) for i in range(5)])
     draws = phantom_actions(batch, np.array([0.0]), np.random.default_rng(1))
     assert np.array_equal(draws[:, 0], np.arange(5.0))
 
 
-def test_phantom_actions_callable_variance_source():
-    batch = [_t(0.0), _t(1.0)]
-    # variance depends on the stored state: state 0 gets 0, state 1 gets 4
-    draws = phantom_actions(
-        batch, lambda s: np.array([0.0]) if s[0] == 0.0 else np.array([4.0]),
-        np.random.default_rng(2),
-    )
-    assert draws[0, 0] == 0.0
-    assert draws[1, 0] != 1.0
-
-
 def test_phantom_actions_rejects_negative_variance():
     with pytest.raises(ValueError):
-        phantom_actions([_t(0.0)], np.array([-1.0]), np.random.default_rng(0))
+        phantom_actions(stack_batch([_t(0.0)]), np.array([-1.0]), np.random.default_rng(0))

@@ -1,13 +1,17 @@
 """Trainer internals: config validation, telemetry, policy updates, and the
 phantom-regression fixed point on a one-step task."""
 
+import ast
 import copy
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smoothie_rl
 from smoothie_rl.deriv_net import AdamState, DerivNet, DivergenceError, Layer, critic_net
-from smoothie_rl.envs import BumpsBandit, EnvSpec, StepResult
+from smoothie_rl.envs import BumpsBandit, StepResult
 from smoothie_rl.gauss_math import DiagGaussian, gh_quadrature, kl_terms, log_density
 from smoothie_rl.replay import Transition, stack_batch
 from smoothie_rl.smoothie import (
@@ -19,7 +23,6 @@ from smoothie_rl.smoothie import (
     _importance_weights,
     critic_targets,
     critic_update,
-    fit_smoothed_from_expected,
     policy_ascent_directions,
     policy_update,
     shift_output_bias,
@@ -71,12 +74,12 @@ def _batch(rng, n=16, state_dim=1, action_dim=1, done=False):
         {"total_steps": 0},
         {"buffer_capacity": 0},
         {"record_interval": 0},
-        {"quad_order": 0},
-        {"mc_fit_samples": 0},
+        {"eval_interval": 0},
+        {"ou_stddev": 0.0},
         {"kl_coeff": -1e-6},
         {"warmup_steps": -1},
         {"q_grad_clip": 0.0},
-        {"fd_step": 0.0},
+        {"actor_lr": float("nan")},
         {"ou_damping": 0.0},
         {"hidden": (8,)},
         {"hidden": (0, 4)},
@@ -91,6 +94,22 @@ def test_config_rejects_bad_values(overrides):
 def test_config_defaults_validate():
     TrainerConfig().validate()
     TrainerConfig(phi_lr=None, mu_init=None).validate()
+
+
+def test_every_config_field_is_read():
+    """A field that only the config itself reads is an option that changes nothing."""
+    src = Path(smoothie_rl.__file__).parent
+    read = set()
+    for path in src.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        config_class = [n for n in ast.walk(tree)
+                        if isinstance(n, ast.ClassDef) and n.name == "TrainerConfig"]
+        inside = {id(n) for c in config_class for n in ast.walk(c)}
+        read |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                 and id(n) not in inside}
+    unread = [f.name for f in fields(TrainerConfig) if f.name not in read]
+    assert unread == []
 
 
 # ----------------------------------------------------------------- train log
@@ -398,21 +417,6 @@ def test_freeze_sigma_keeps_log_var():
                   AdamState.for_params(policy.mean_net.n_params), AdamState.for_params(1))
     np.testing.assert_array_equal(policy.log_var, old_phi)
     assert np.any(policy.mean_net.get_params() != old_theta)
-
-
-# ------------------------------------------------------------ fit from expected
-
-
-def test_fit_smoothed_self_consistent_at_tiny_variance():
-    rng = np.random.default_rng(37)
-    expected = critic_net(1, 1, (8, 8), rng)
-    smoothed = expected.clone()
-    policy = _policy(seed=37, phi_init=np.log(1e-8))
-    batch = _batch(rng, n=32)
-    opt = AdamState.for_params(smoothed.n_params)
-    loss = fit_smoothed_from_expected(expected, smoothed, policy, batch, TrainerConfig(), opt, rng)
-    # at vanishing variance the MC targets collapse onto the critic itself
-    assert loss < 1e-6
 
 
 # -------------------------------------------------------------- trainer loop
