@@ -13,6 +13,13 @@ identically zero before that layer, so propagation starts there.
 Activations on any layer at or after the injection point must be twice
 differentiable, so relu there is rejected at construction.
 
+Inside the pass the action axes come first: G is a C-contiguous
+(d_a, batch, width) array and H a (d_a, d_a, batch, width) one, so each
+elementwise product runs along the layer width and each affine step is one
+matrix product with W^T.  An identity layer passes Gz and Hz through
+unchanged.  The result is handed back as (batch, out, d_a) and
+(batch, out, d_a, d_a) views.
+
 Each net keeps all of its parameters in one flat array; every layer's
 weight and bias are views into it, so reading, writing and averaging the
 parameters never gathers per-layer arrays.
@@ -25,7 +32,7 @@ global-norm clipping, and a flat-array checkpoint format.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -200,7 +207,7 @@ class DerivNet:
     def _forward_core(self, x, act, want_derivs: bool, want_cache: bool):
         B = x.shape[0]
         da = self.action_dim
-        G = H = None  # zero until the action is injected
+        G = H = None  # (d_a, B, width) and (d_a, d_a, B, width); zero until the action is injected
         cache = [] if want_cache else None
         h = x
         for k, layer in enumerate(self.layers):
@@ -212,23 +219,30 @@ class DerivNet:
             f, fp, fpp = _activate(layer.activation, z, 2 if on_path else int(want_cache))
             if want_cache:
                 cache.append((h, fp))
-            if on_path and injected:
-                # G is [0; I] and H is 0 here, so Gz is the action block of W.
-                Gz = np.broadcast_to(layer.weight[:, h.shape[1] - da :], (B, layer.out_width, da))
-                G = fp[:, :, None] * Gz
-                H = fpp[:, :, None, None] * (Gz[:, :, :, None] * Gz[:, :, None, :])
-            elif on_path:
-                Gz = np.einsum("oi,bij->boj", layer.weight, G)
-                Hz = np.einsum("oi,bijk->bojk", layer.weight, H)
-                G = fp[:, :, None] * Gz
-                H = (
-                    fpp[:, :, None, None] * (Gz[:, :, :, None] * Gz[:, :, None, :])
-                    + fp[:, :, None, None] * Hz
-                )
+            if on_path:
+                w = layer.out_width
+                if injected:
+                    # G is [0; I] and H is 0 here, so Gz is the action block of W.
+                    Gz = np.ascontiguousarray(layer.weight[:, h.shape[1] - da :].T)[:, None, :]
+                    Hz = None  # zero
+                else:
+                    Gz = (G.reshape(-1, G.shape[-1]) @ layer.weight.T).reshape(da, B, w)
+                    Hz = (H.reshape(-1, H.shape[-1]) @ layer.weight.T).reshape(da, da, B, w)
+                if layer.activation == "identity":
+                    G = np.broadcast_to(Gz, (da, B, w))
+                    H = np.zeros((da, da, B, w)) if Hz is None else Hz
+                else:
+                    G = fp * Gz
+                    H = fpp * (Gz[:, None] * Gz[None, :])
+                    if Hz is not None:
+                        Hz *= fp
+                        H += Hz
             h = f
-        if want_derivs and G is None:
-            G, H = np.zeros((B, self.out_dim, 0)), np.zeros((B, self.out_dim, 0, 0))
-        return h, G, H, cache
+        if not want_derivs:
+            return h, None, None, cache
+        if G is None:  # no action input
+            G, H = np.zeros((0, B, self.out_dim)), np.zeros((0, 0, B, self.out_dim))
+        return h, G.transpose(1, 2, 0), H.transpose(2, 3, 0, 1), cache
 
     def forward(self, state, action=None) -> np.ndarray:
         state, act, single = self._promote(state, action)
@@ -333,6 +347,8 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
+    # Two parameter-sized scratch arrays, allocated by the first step.
+    scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def for_params(cls, n: int) -> "AdamState":
@@ -340,18 +356,35 @@ class AdamState:
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, lr: float, state: AdamState) -> np.ndarray:
-    """One Adam descent step; mutates ``state`` and returns the updated parameters."""
+    """One Adam descent step; updates ``state.m`` and ``state.v`` in place and
+    returns the updated parameters as a new array.
+
+    The arithmetic is that of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``params - lr*mhat / (sqrt(vhat) + eps)``, operation for operation.
+    """
     grads = np.asarray(grads, dtype=float)
     if grads.shape != params.shape:
         raise ValueError(f"gradient shape {grads.shape} != params shape {params.shape}")
     if not np.all(np.isfinite(grads)):
         raise DivergenceError("non-finite gradient in adam_step")
+    if state.scratch is None or state.scratch[0].shape != grads.shape:
+        state.scratch = (np.empty_like(grads), np.empty_like(grads))
+    a, b = state.scratch
+    m, v = state.m, state.v
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    mhat = state.m / (1.0 - state.beta1**state.t)
-    vhat = state.v / (1.0 - state.beta2**state.t)
-    return params - lr * mhat / (np.sqrt(vhat) + state.eps)
+    m *= state.beta1
+    m += np.multiply(grads, 1.0 - state.beta1, out=a)
+    np.multiply(grads, 1.0 - state.beta2, out=a)
+    v *= state.beta2
+    v += np.multiply(a, grads, out=a)
+    np.divide(m, 1.0 - state.beta1**state.t, out=a)  # mhat
+    a *= lr
+    np.divide(v, 1.0 - state.beta2**state.t, out=b)  # vhat
+    np.sqrt(b, out=b)
+    b += state.eps
+    a /= b
+    return params - a
 
 
 def polyak_update(target: np.ndarray, online: np.ndarray, tau: float) -> np.ndarray:

@@ -398,7 +398,10 @@ class Trainer:
                         last_return = float(np.mean(window))
                         window.clear()
                     ms = (time.perf_counter() - t0) * 1e3 if cfg.wallclock else 0.0
-                    self.log.append(step, last_return, *self._record_stats(), last_td, ms)
+                    row = (last_return, *self._record_stats(), last_td, ms)
+                    if not all(np.isfinite(v) for v in row):
+                        raise DivergenceError(f"non-finite value in log row at step {step}")
+                    self.log.append(step, *row)
         except DivergenceError as err:
             err.partial_log = self.log  # type: ignore[attr-defined]
             raise

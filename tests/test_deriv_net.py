@@ -10,6 +10,7 @@ from smoothie_rl.deriv_net import (
     DerivNet,
     DivergenceError,
     Layer,
+    _init_layer,
     actor_net,
     adam_step,
     clip_global_norm,
@@ -90,6 +91,55 @@ def test_batched_forward_matches_loop():
         tk = net.forward_with_action_derivs(S[k], A[k])
         assert np.allclose(trip.jacobian[k], tk.jacobian, atol=1e-14)
         assert np.allclose(trip.hessian[k], tk.hessian, atol=1e-14)
+
+
+def _deep_critic_batch():
+    """Three hidden layers, so a tanh layer after the injection sees a non-zero H."""
+    rng = np.random.default_rng(4)
+    net = critic_net(3, 3, (12, 10, 8), rng)
+    S = rng.uniform(-1, 1, size=(6, 3))
+    A = rng.uniform(-1, 1, size=(6, 3))
+    return net, S, A
+
+
+def test_deep_critic_jacobian_hessian_vs_finite_differences():
+    net, S, A = _deep_critic_batch()
+    trip = net.forward_with_action_derivs(S, A)
+    assert trip.jacobian.shape == (6, 1, 3) and trip.hessian.shape == (6, 1, 3, 3)
+    for k in range(len(S)):
+        assert np.max(np.abs(trip.jacobian[k] - fd_jacobian(net, S[k], A[k]))) < 1e-7
+        assert np.max(np.abs(trip.hessian[k] - fd_hessian(net, S[k], A[k]))) < 1e-5
+
+
+def test_deep_critic_hessian_symmetry():
+    net, S, A = _deep_critic_batch()
+    H = net.forward_with_action_derivs(S, A).hessian[:, 0]
+    assert np.allclose(H, np.swapaxes(H, 1, 2), atol=1e-12)
+
+
+def test_deep_critic_batch_rows_match_single_calls():
+    net, S, A = _deep_critic_batch()
+    trip = net.forward_with_action_derivs(S, A)
+    for k in range(len(S)):
+        tk = net.forward_with_action_derivs(S[k], A[k])
+        assert np.allclose(trip.value[k], tk.value, atol=1e-14)
+        assert np.allclose(trip.jacobian[k], tk.jacobian, atol=1e-14)
+        assert np.allclose(trip.hessian[k], tk.hessian, atol=1e-14)
+
+
+def test_identity_layers_on_action_path_vs_finite_differences():
+    # identity at the injection layer and between tanh layers
+    rng = np.random.default_rng(5)
+    shapes = [(6, 2, "tanh"), (5, 8, "identity"), (4, 5, "tanh"), (4, 4, "identity"), (2, 4, "tanh")]
+    layers = [_init_layer(n_in, n_out, act, rng) for n_out, n_in, act in shapes]
+    net = DerivNet(2, 2, layers, action_layer=1)
+    S = rng.uniform(-1, 1, size=(4, 2))
+    A = rng.uniform(-1, 1, size=(4, 2))
+    trip = net.forward_with_action_derivs(S, A)
+    assert trip.jacobian.shape == (4, 2, 2) and trip.hessian.shape == (4, 2, 2, 2)
+    for k in range(len(S)):
+        assert np.max(np.abs(trip.jacobian[k] - fd_jacobian(net, S[k], A[k]))) < 1e-7
+        assert np.max(np.abs(trip.hessian[k] - fd_hessian(net, S[k], A[k]))) < 1e-5
 
 
 def test_param_gradient_vs_finite_differences():
@@ -204,6 +254,28 @@ def test_adam_first_step_size_is_lr():
     out = adam_step(params, g, 0.1, state)
     assert np.allclose(np.abs(out), 0.1 * np.ones(3), atol=1e-6)
     assert np.sign(out[1]) == 1.0  # descends against the gradient
+
+
+def test_adam_in_place_matches_textbook_formula_bitwise():
+    rng = np.random.default_rng(6)
+    n = 50
+    state = AdamState.for_params(n)
+    m_obj, v_obj = state.m, state.v
+    params = rng.normal(size=n)
+    ref, m, v = params.copy(), np.zeros(n), np.zeros(n)
+    b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 3e-3
+    for t in range(1, 301):
+        # magnitudes from 1e-9 to 1e4 within one gradient, with exact zeros
+        g = rng.normal(size=n) * 10.0 ** rng.uniform(-9, 4, size=n)
+        g[rng.random(n) < 0.1] = 0.0
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        mhat = m / (1.0 - b1**t)
+        vhat = v / (1.0 - b2**t)
+        ref = ref - lr * mhat / (np.sqrt(vhat) + eps)
+        params = adam_step(params, g, lr, state)
+        assert np.array_equal(params, ref) and np.array_equal(state.m, m) and np.array_equal(state.v, v)
+    assert state.t == 300 and state.m is m_obj and state.v is v_obj
 
 
 def test_adam_rejects_non_finite_gradient():

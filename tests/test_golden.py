@@ -4,6 +4,10 @@ The hashes were captured with numpy 2.4.6 and OpenBLAS 0.3.31.  A refactor
 that claims to keep behaviour must keep every hash; a change that alters a
 trajectory on purpose re-captures them and says so.  C9 only compares
 repeats of one build, so it cannot see drift from one version to the next.
+The DDPG eval-return and `verify` hashes were re-captured when the action
+derivative pass moved from einsum to matrix products, which reorders float
+sums: two eval returns moved in the 16th digit and one printed `verify`
+value in its 9th.
 """
 
 import hashlib
@@ -49,9 +53,9 @@ def test_ddpg_log_and_eval_returns_golden():
                        eval_interval=100)
     assert _sha1(trainer.log.to_string()) == "edbe4635157c69a7399c2e2ff239521a2439a309"
     evals = "".join(f"{s},{v:.17g}\n" for s, v in trainer.eval_returns)
-    assert _sha1(evals) == "de8930efaacb46944f6169654fc9030be33345b1"
+    assert _sha1(evals) == "79723e165a331ba3d54c06113138b764a10f7c4b"
 
 
 def test_verify_rows_golden():
     rows = "".join(r.format_row() + "\n" for r in verify.default_suite(seed=0))
-    assert _sha1(rows) == "05618fca7334bff229b1a179e3ed300f4a898575"
+    assert _sha1(rows) == "5ae6b1ff19a58beea134cce577274e4ab0be1314"

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import smoothie_rl
+from smoothie_rl import harness
 from smoothie_rl.deriv_net import AdamState, DerivNet, DivergenceError, Layer, critic_net
 from smoothie_rl.envs import BumpsBandit, StepResult
 from smoothie_rl.gauss_math import DiagGaussian, gh_quadrature, kl_terms, log_density
@@ -501,3 +502,20 @@ def test_divergence_carries_partial_log():
     partial = err.value.partial_log
     assert isinstance(partial, TrainLog)
     assert len(partial.rows) >= 2
+
+
+def test_nonfinite_log_row_before_any_update_is_divergence(tmp_path, monkeypatch):
+    # NaN rewards from step 6 reach the step-10 log row while the buffer is
+    # still below one batch, so no critic update sees them first.
+    cfg = TrainerConfig(total_steps=100, batch_size=64, record_interval=10, seed=0)
+    trainer = SmoothieTrainer(_ExplodingBandit(fuse=5), cfg)
+    with pytest.raises(DivergenceError, match="log row at step 10") as err:
+        trainer.train()
+    assert isinstance(err.value.partial_log, TrainLog)
+    assert err.value.partial_log.rows == []
+    # harness.run reports it as a diverged seed, which the CLI maps to exit 3
+    monkeypatch.setattr(harness, "make_env", lambda name: _ExplodingBandit(fuse=5))
+    run_cfg = harness.RunConfig("smoothie", "bumps", seeds=(0,), out_dir=str(tmp_path), trainer=cfg)
+    result = harness.run(run_cfg)
+    assert result.exit_code == 3
+    assert result.outcomes[0].status == "diverged"
