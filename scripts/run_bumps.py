@@ -12,13 +12,10 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from smoothie_rl import cli  # noqa: E402
 from smoothie_rl.harness import default_run_config, run  # noqa: E402
-from smoothie_rl.envs import BumpsBandit  # noqa: E402
-from smoothie_rl.verify import smoothed_landscape  # noqa: E402
 
 
 def main() -> int:
@@ -30,13 +27,7 @@ def main() -> int:
     args = parser.parse_args()
     seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
 
-    env = BumpsBandit()
-    grid = np.linspace(-3.0, 3.0, 241)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "landscape.csv"), "w") as fh:
-        fh.write("a,reward,smoothed\n")
-        for a, r, s in zip(grid, env.reward_fn(grid), smoothed_landscape(env.reward_fn, 1.0, grid)):
-            fh.write(f"{a:.9g},{r:.9g},{s:.9g}\n")
+    cli.main(["landscape", "--sigma", "1.0", "--out", args.out])
 
     worst_exit = 0
     for algorithm in args.algorithms.split(","):

@@ -16,7 +16,8 @@ import sys
 import numpy as np
 
 from .envs import BumpsBandit
-from .harness import ConfigError, default_search_spec, parse_config, random_search, run
+from .harness import ConfigError, default_search_spec, parse_config, parse_seeds, random_search, run
+from .smoothie import csv_row
 from .verify import default_suite, smoothed_landscape
 
 EXIT_OK = 0
@@ -35,12 +36,7 @@ def _load_config(path: str | None, seed_arg: str | None, out_arg: str | None):
         raise ConfigError(f"cannot read config {path!r}: {err}") from err
     cfg = parse_config(text)
     if seed_arg is not None:
-        try:
-            cfg.seeds = tuple(int(part) for part in seed_arg.split(",") if part.strip())
-        except ValueError:
-            raise ConfigError(f"--seed expects comma-separated integers, got {seed_arg!r}")
-        if not cfg.seeds:
-            raise ConfigError("--seed needs at least one integer")
+        cfg.seeds = parse_seeds(seed_arg, "--seed")
     if out_arg is not None:
         cfg.out_dir = out_arg
     cfg.validate()
@@ -94,9 +90,9 @@ def _cmd_landscape(args) -> int:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "landscape.csv")
     with open(path, "w") as fh:
-        fh.write("a,reward,smoothed\n")
-        for a, r, s in zip(grid, raw, smooth):
-            fh.write(f"{a:.9g},{r:.9g},{s:.9g}\n")
+        fh.write(csv_row(("a", "reward", "smoothed")))
+        for row in zip(grid, raw, smooth):
+            fh.write(csv_row(row))
     print(f"wrote {path}")
     return EXIT_OK
 

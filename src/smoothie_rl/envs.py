@@ -18,7 +18,6 @@ class EnvSpec:
     action_low: np.ndarray
     action_high: np.ndarray
     horizon: int
-    gamma_hint: float
 
 
 @dataclass(frozen=True)
@@ -64,7 +63,6 @@ class BumpsBandit:
             action_low=np.array([-3.0]),
             action_high=np.array([3.0]),
             horizon=1,
-            gamma_hint=0.995,
         )
 
     def reward_fn(self, a):
@@ -111,7 +109,6 @@ class PointMass:
             action_low=np.array([-1.0, -1.0]),
             action_high=np.array([1.0, 1.0]),
             horizon=self.horizon,
-            gamma_hint=0.995,
         )
         self._pos = np.zeros(2)
         self._vel = np.zeros(2)

@@ -11,14 +11,15 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from .ddpg import DdpgTrainer
 from .deriv_net import DivergenceError
 from .envs import BumpsBandit, PointMass
-from .smoothie import CONFIG_RANGES, SmoothieTrainer, TrainerConfig, TrainLog
+from .smoothie import CONFIG_RANGES, SmoothieTrainer, TrainerConfig, TrainLog, csv_row
 
 ALGORITHMS = ("smoothie", "smoothie_kl", "ddpg")
 ENVIRONMENTS = ("bumps", "pointmass")
@@ -108,49 +109,53 @@ def default_run_config(algorithm: str, environment: str) -> RunConfig:
 # --------------------------------------------------------------- config text
 
 
-_TRAINER_FIELDS = {f.name: f for f in fields(TrainerConfig) if f.name != "seed"}
+# Declared type of each TrainerConfig field a config file sets, in field
+# order.  The trainer's ``seed`` comes from the run's ``seeds`` instead.
+_FIELD_TYPES = {name: hint for name, hint in get_type_hints(TrainerConfig).items() if name != "seed"}
 
-def _parse_bool(raw: str, key: str, lineno: int) -> bool:
+
+def _parse_bool(raw: str) -> bool:
     low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    raise ConfigError(f"line {lineno}: {key} expects true or false, got {raw!r}")
+    if low not in ("true", "false"):
+        raise ValueError(f"not a bool: {raw!r}")
+    return low == "true"
 
 
-def _parse_int_tuple(raw: str, key: str, lineno: int) -> tuple[int, ...]:
+def _parse_ints(raw: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in raw.split(",") if part.strip())
+
+
+def _parse_optional_float(raw: str) -> float | None:
+    return None if raw.lower() == "none" else float(raw)
+
+
+# Parser for each declared field type, with what it accepts for error
+# messages.  Keywords match in any case: true, false, none, and the words a
+# str field takes (phi_optimizer's adam and sgd).
+_PARSERS = {
+    bool: (_parse_bool, "true or false"),
+    int: (int, "an integer"),
+    float: (float, "a number"),
+    float | None: (_parse_optional_float, "a number or none"),
+    str: (str.lower, "a word"),
+    tuple[int, ...]: (_parse_ints, "comma-separated integers"),
+}
+
+
+def _parse(hint, raw: str, where: str):
+    parse, expected = _PARSERS[hint]
     try:
-        return tuple(int(part.strip()) for part in raw.split(",") if part.strip())
+        return parse(raw)
     except ValueError:
-        raise ConfigError(f"line {lineno}: {key} expects comma-separated integers, got {raw!r}")
+        raise ConfigError(f"{where} expects {expected}, got {raw!r}")
 
 
-_OPTIONAL_FLOAT_KEYS = ("mu_init", "phi_lr")
-
-
-def _coerce(key: str, raw: str, lineno: int):
-    if key == "hidden":
-        return _parse_int_tuple(raw, key, lineno)
-    if key == "phi_optimizer":
-        return raw.lower()
-    if key in _OPTIONAL_FLOAT_KEYS:
-        if raw.lower() == "none":
-            return None
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: {key} expects a number or none, got {raw!r}")
-    f = _TRAINER_FIELDS[key]
-    if f.type in ("bool", bool):
-        return _parse_bool(raw, key, lineno)
-    if f.type in ("int", int):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"line {lineno}: {key} expects an integer, got {raw!r}")
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: {key} expects a number, got {raw!r}")
+def parse_seeds(raw: str, where: str) -> tuple[int, ...]:
+    """Seeds from comma-separated text; ``where`` names the source in errors."""
+    seeds = _parse(tuple[int, ...], raw, where)
+    if not seeds:
+        raise ConfigError(f"{where} needs at least one integer")
+    return seeds
 
 
 def _scan_pairs(text: str) -> list[tuple[int, str, str]]:
@@ -200,19 +205,16 @@ def parse_config(text: str) -> RunConfig:
         if key in ("algorithm", "environment"):
             continue
         if key == "seeds":
-            seeds = _parse_int_tuple(raw, key, lineno)
-            if not seeds:
-                raise ConfigError(f"line {lineno}: seeds needs at least one integer")
-            cfg.seeds = seeds
+            cfg.seeds = parse_seeds(raw, f"line {lineno}: seeds")
             continue
         if key == "out_dir":
             if not raw:
                 raise ConfigError(f"line {lineno}: out_dir must not be empty")
             cfg.out_dir = raw
             continue
-        if key not in _TRAINER_FIELDS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        value = _coerce(key, raw, lineno)
+        value = _parse(_FIELD_TYPES[key], raw, f"line {lineno}: {key}")
         if key in CONFIG_RANGES:
             ok, msg = CONFIG_RANGES[key]
             if not ok(value):
@@ -239,10 +241,10 @@ def dump_config(cfg: RunConfig) -> str:
     lines = [
         f"algorithm = {cfg.algorithm}",
         f"environment = {cfg.environment}",
-        f"seeds = {','.join(str(s) for s in cfg.seeds)}",
+        f"seeds = {_format_value(cfg.seeds)}",
         f"out_dir = {cfg.out_dir}",
     ]
-    for name in _TRAINER_FIELDS:
+    for name in _FIELD_TYPES:
         lines.append(f"{name} = {_format_value(getattr(cfg.trainer, name))}")
     return "\n".join(lines) + "\n"
 
@@ -319,12 +321,9 @@ def run(cfg: RunConfig) -> RunResult:
         outcomes.append(outcome)
     summary_path = os.path.join(cfg.out_dir, "summary.csv")
     with open(summary_path, "w") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
+        fh.write(csv_row(SUMMARY_COLUMNS))
         for o in outcomes:
-            fh.write(
-                f"{o.seed},{o.final_return:.9g},{o.best_return:.9g},"
-                f"{o.final_sigma_mean:.9g},{o.ms:.9g},{o.status}\n"
-            )
+            fh.write(csv_row(getattr(o, name) for name in SUMMARY_COLUMNS))
     exit_code = 3 if any(o.status != "ok" for o in outcomes) else 0
     return RunResult(exit_code, outcomes, cfg.out_dir, csv_paths, summary_path)
 
@@ -346,6 +345,13 @@ class SearchRow:
             raise ValueError(f"sampling must be log or fixed, got {self.sampling!r}")
         if self.sampling == "log" and not 0.0 < self.low <= self.high:
             raise ValueError(f"log-sampled range for {self.name} must be positive and ordered")
+        hint = _FIELD_TYPES.get(self.name)
+        if hint is None:
+            raise ValueError(f"search row {self.name!r} names no TrainerConfig field")
+        if self.sampling == "log" and float not in (hint, *get_args(hint)):
+            raise ValueError(
+                f"search row {self.name!r} samples floats, but {self.name} takes {_PARSERS[hint][1]}"
+            )
 
 
 @dataclass(frozen=True)
@@ -376,12 +382,6 @@ def default_search_spec(trials: int = 100) -> SearchSpec:
     return SearchSpec(rows=rows, trials=trials)
 
 
-SEARCH_COLUMNS = (
-    "rank", "trial", "actor_lr", "critic_lr", "reward_scale",
-    "ou_damping", "ou_stddev", "kl_coeff", "score", "status",
-)
-
-
 def _trial_score(log: TrainLog) -> float:
     """Mean of the final ten recorded return_mean values (fewer if the log is short)."""
     returns = log.column("return_mean")
@@ -397,9 +397,12 @@ def random_search(spec: SearchSpec, base: RunConfig, rng: np.random.Generator) -
     fixed rows are pinned to their stated values.  Trials run on the base
     seeds; the score is the across-seed mean of _trial_score.  Diverging
     trials score nan and sort last.  Writes `search.csv` under base.out_dir
-    and returns the ranked trial dicts.
+    and returns the ranked trial dicts.  Each trial records the value of every
+    log-sampled field, in spec order; fields the base algorithm does not
+    sample keep the base value.
     """
     base.validate()
+    recorded = list(dict.fromkeys(row.name for row in spec.rows if row.sampling == "log"))
     trials = []
     for index in range(spec.trials):
         tcfg = replace(base.trainer)
@@ -423,12 +426,7 @@ def random_search(spec: SearchSpec, base: RunConfig, rng: np.random.Generator) -
         trials.append(
             {
                 "trial": index,
-                "actor_lr": tcfg.actor_lr,
-                "critic_lr": tcfg.critic_lr,
-                "reward_scale": tcfg.reward_scale,
-                "ou_damping": tcfg.ou_damping,
-                "ou_stddev": tcfg.ou_stddev,
-                "kl_coeff": tcfg.kl_coeff,
+                **{name: getattr(tcfg, name) for name in recorded},
                 "score": float("nan") if status != "ok" else float(np.mean(scores)),
                 "status": status,
             }
@@ -440,11 +438,7 @@ def random_search(spec: SearchSpec, base: RunConfig, rng: np.random.Generator) -
     os.makedirs(base.out_dir, exist_ok=True)
     path = os.path.join(base.out_dir, "search.csv")
     with open(path, "w") as fh:
-        fh.write(",".join(SEARCH_COLUMNS) + "\n")
+        fh.write(csv_row(("rank", "trial", *recorded, "score", "status")))
         for rank, t in enumerate(ranked):
-            fh.write(
-                f"{rank},{t['trial']},{t['actor_lr']:.9g},{t['critic_lr']:.9g},"
-                f"{t['reward_scale']:.9g},{t['ou_damping']:.9g},{t['ou_stddev']:.9g},"
-                f"{t['kl_coeff']:.9g},{t['score']:.9g},{t['status']}\n"
-            )
+            fh.write(csv_row((rank, *t.values())))
     return ranked

@@ -96,19 +96,6 @@ class ReplayBuffer:
         return self.gather(rng.integers(0, self._size, size=batch_size))
 
 
-def stack_batch(batch: list[Transition]) -> Batch:
-    """Columns of a list of transitions as a ``Batch``."""
-    S = np.stack([t.state for t in batch])
-    A = np.stack([t.action for t in batch])
-    R = np.array([t.reward for t in batch])
-    S2 = np.stack([t.next_state for t in batch])
-    D = np.array([1.0 if t.done else 0.0 for t in batch])
-    logq = np.array(
-        [t.behavior_log_density if t.behavior_log_density is not None else np.nan for t in batch]
-    )
-    return Batch(S, A, R, S2, D, logq)
-
-
 def phantom_actions(batch: Batch, variance, rng: np.random.Generator) -> np.ndarray:
     """Resample each stored action from a Gaussian centred on it.
 

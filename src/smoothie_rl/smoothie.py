@@ -108,6 +108,11 @@ class TrainerConfig:
                 raise ValueError(f"{name} {msg}, got {value!r}")
 
 
+def csv_row(values) -> str:
+    """One line of every CSV the package writes: floats as ``.9g``, anything else with ``str``."""
+    return ",".join(f"{v:.9g}" if isinstance(v, float) else str(v) for v in values) + "\n"
+
+
 class TrainLog:
     """Recorded training telemetry with deterministic CSV formatting."""
 
@@ -130,9 +135,9 @@ class TrainLog:
         return [r[i] for r in self.rows]
 
     def write(self, fh: io.TextIOBase) -> None:
-        fh.write(",".join(self.columns) + "\n")
+        fh.write(csv_row(self.columns))
         for r in self.rows:
-            fh.write(f"{r[0]}," + ",".join(f"{v:.9g}" for v in r[1:]) + "\n")
+            fh.write(csv_row(r))
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:

@@ -359,7 +359,6 @@ class TwoStateChain:
             action_low=np.array([-3.0]),
             action_high=np.array([3.0]),
             horizon=10**9,
-            gamma_hint=0.9,
         )
         self._state = 0
 

@@ -18,7 +18,7 @@ from smoothie_rl.deriv_net import AdamState, DerivNet, Layer, actor_net, adam_st
 from smoothie_rl.envs import BumpsBandit
 from smoothie_rl.gauss_math import kl_terms
 from smoothie_rl.harness import default_run_config, make_env, run
-from smoothie_rl.replay import ReplayBuffer, Transition, stack_batch
+from smoothie_rl.replay import ReplayBuffer, Transition
 from smoothie_rl.smoothie import (
     SmoothiePolicy,
     SmoothieTrainer,
@@ -201,7 +201,7 @@ def test_c6_deterministic_limit_equivalence():
                    float(rng.uniform(-1, 1)), rng.uniform(-1, 1, 1), False)
         for _ in range(128)
     ]
-    S, _, _, _, _, _ = stack_batch(batch)
+    S = np.stack([t.state for t in batch])
     layers = [
         Layer(rng.normal(scale=0.5, size=(16, 1)), rng.normal(scale=0.1, size=16), "tanh"),
         Layer(rng.normal(scale=0.5, size=(1, 16)), rng.normal(scale=0.1, size=1), "identity"),

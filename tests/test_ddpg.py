@@ -12,7 +12,7 @@ from smoothie_rl.ddpg import (
 )
 from smoothie_rl.deriv_net import AdamState, DerivNet, Layer, adam_step, critic_net
 from smoothie_rl.envs import BumpsBandit
-from smoothie_rl.replay import Transition, stack_batch
+from smoothie_rl.replay import ReplayBuffer, Transition
 from smoothie_rl.smoothie import SmoothiePolicy, TrainerConfig, policy_ascent_directions
 
 
@@ -26,16 +26,16 @@ def _tanh_actor(seed=0, state_dim=1, action_dim=1):
 
 
 def _batch(rng, n=16):
-    return stack_batch([
-        Transition(
+    buf = ReplayBuffer(n)
+    for _ in range(n):
+        buf.push(Transition(
             state=rng.uniform(-1, 1, 1),
             action=rng.uniform(-1, 1, 1),
             reward=float(rng.uniform(-1, 1)),
             next_state=rng.uniform(-1, 1, 1),
             done=False,
-        )
-        for _ in range(n)
-    ])
+        ))
+    return buf.gather(np.arange(n))
 
 
 # ------------------------------------------------------------------ OU noise

@@ -7,17 +7,29 @@ repeats of one build, so it cannot see drift from one version to the next.
 The DDPG eval-return and `verify` hashes were re-captured when the action
 derivative pass moved from einsum to matrix products, which reorders float
 sums: two eval returns moved in the 16th digit and one printed `verify`
-value in its 9th.
+value in its 9th.  The summary.csv, search.csv and `dump_config` hashes were
+captured before the experiment layer came to derive its columns and value
+parsers from declarations.
 """
 
 import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from smoothie_rl import verify
 from smoothie_rl.ddpg import DdpgTrainer
-from smoothie_rl.harness import default_run_config, make_env
+from smoothie_rl.harness import (
+    ALGORITHMS,
+    ENVIRONMENTS,
+    default_run_config,
+    default_search_spec,
+    dump_config,
+    make_env,
+    random_search,
+    run,
+)
 from smoothie_rl.smoothie import SmoothieTrainer
 
 
@@ -59,3 +71,38 @@ def test_ddpg_log_and_eval_returns_golden():
 def test_verify_rows_golden():
     rows = "".join(r.format_row() + "\n" for r in verify.default_suite(seed=0))
     assert _sha1(rows) == "5ae6b1ff19a58beea134cce577274e4ab0be1314"
+
+
+def _tiny_bumps(algorithm, out_dir, seeds):
+    cfg = default_run_config(algorithm, "bumps")
+    cfg.trainer = replace(cfg.trainer, total_steps=150, warmup_steps=0, batch_size=32,
+                          record_interval=50)
+    return replace(cfg, seeds=seeds, out_dir=str(out_dir))
+
+
+@pytest.mark.parametrize(
+    "algorithm,want",
+    [("smoothie", "809d734e141d63f7354b5b3eb45c3438032b510e"),
+     ("ddpg", "225d39b321eb61cca7ee2e52d7ad4509fb5b5445")],
+)
+def test_run_summary_golden(tmp_path, algorithm, want):
+    result = run(_tiny_bumps(algorithm, tmp_path, (0, 1)))
+    with open(result.summary_path) as fh:
+        assert _sha1(fh.read()) == want
+
+
+@pytest.mark.parametrize(
+    "algorithm,want",
+    [("smoothie", "d42c507e4dfafbceeb947104b33463664ce28d4d"),
+     ("ddpg", "65eb85fb1f3212a0e3f47fb9b52e5696a8b8ee05")],
+)
+def test_search_csv_golden(tmp_path, algorithm, want):
+    base = _tiny_bumps(algorithm, tmp_path, (0,))
+    random_search(default_search_spec(trials=2), base, np.random.default_rng(0))
+    with open(tmp_path / "search.csv") as fh:
+        assert _sha1(fh.read()) == want
+
+
+def test_dump_config_golden():
+    text = "".join(dump_config(default_run_config(a, e)) for a in ALGORITHMS for e in ENVIRONMENTS)
+    assert _sha1(text) == "2324942a4ef174473a28117d5d76d20e581a2b78"

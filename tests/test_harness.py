@@ -1,6 +1,8 @@
 """Config parsing, seeded runs and their artifacts, random search, CLI codes."""
 
+import csv
 import os
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from smoothie_rl import cli
 from smoothie_rl import harness
 from smoothie_rl.deriv_net import DivergenceError
 from smoothie_rl.harness import (
-    SEARCH_COLUMNS,
     SUMMARY_COLUMNS,
     ConfigError,
     RunConfig,
@@ -24,7 +25,7 @@ from smoothie_rl.harness import (
     run,
     default_search_spec,
 )
-from smoothie_rl.smoothie import TrainLog
+from smoothie_rl.smoothie import TrainerConfig, TrainLog
 
 MINIMAL = "algorithm = smoothie\nenvironment = bumps\n"
 
@@ -147,6 +148,37 @@ def test_round_trip_randomized(gamma, actor_lr, hidden, track, mu_init, phi_lr):
     assert again.trainer == cfg.trainer
 
 
+def _other_value(value, hint):
+    """A valid value of a field of type ``hint`` that differs from ``value``."""
+    if hint is bool:
+        return not value
+    if hint is int:
+        return value + 1
+    if hint is float:
+        return value / 2 if value else 0.5
+    if hint == float | None:
+        return 0.25 if value is None else None
+    if hint is str:
+        return {"adam": "sgd", "sgd": "adam"}[value]
+    if hint == tuple[int, ...]:
+        return value + (7,)
+    raise AssertionError(f"no test value for field type {hint}")
+
+
+def test_every_field_type_parses_and_round_trips():
+    """Each field's declared type has a parser, and a value differing from the
+    tuned baseline survives dump_config/parse_config (``seed`` comes from seeds)."""
+    hints = get_type_hints(TrainerConfig)
+    assert set(hints.values()) <= set(harness._PARSERS)
+    cfg = default_run_config("smoothie", "bumps")
+    for name, hint in hints.items():
+        if name != "seed":
+            setattr(cfg.trainer, name, _other_value(getattr(cfg.trainer, name), hint))
+    again = parse_config(dump_config(cfg))
+    for name in hints:
+        assert getattr(again.trainer, name) == getattr(cfg.trainer, name), name
+
+
 def test_run_config_validation():
     with pytest.raises(ConfigError):
         RunConfig("sac", "bumps").validate()
@@ -258,10 +290,37 @@ def test_random_search_ranks_and_writes(tmp_path):
     path = os.path.join(base.out_dir, "search.csv")
     with open(path) as fh:
         lines = fh.read().strip().split("\n")
-    assert lines[0] == ",".join(SEARCH_COLUMNS)
+    assert lines[0] == "rank,trial,actor_lr,score,status"
     assert len(lines) == 4
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
     assert all(line.endswith(",ok") for line in lines[1:])
+
+
+def test_random_search_records_every_log_row(tmp_path):
+    base = _tiny_config(tmp_path)
+    spec = SearchSpec(rows=(SearchRow("tau", "log", 1e-3, 1e-1),), trials=2)
+    ranked = random_search(spec, base, np.random.default_rng(0))
+    with open(os.path.join(base.out_dir, "search.csv")) as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["rank", "trial", "tau", "score", "status"]
+    taus = [float(r["tau"]) for r in rows]
+    assert taus == [float(f"{t['tau']:.9g}") for t in ranked]
+    assert all(1e-3 <= t <= 1e-1 for t in taus) and taus[0] != taus[1]
+
+
+@pytest.mark.parametrize(
+    "name,fragment",
+    [("no_such_field", "names no TrainerConfig field"), ("batch_size", "takes an integer")],
+)
+def test_random_search_rejects_bad_row_before_training(tmp_path, monkeypatch, name, fragment):
+    def no_training(cfg, seed):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(harness, "_build_trainer", no_training)
+    with pytest.raises(ValueError, match=fragment) as err:
+        spec = SearchSpec(rows=(SearchRow(name, "log", 1e-3, 1e-2),), trials=1)
+        random_search(spec, _tiny_config(tmp_path), np.random.default_rng(0))
+    assert repr(name) in str(err.value)
 
 
 def test_random_search_nan_scores_sort_last(tmp_path, monkeypatch):

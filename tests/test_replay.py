@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from smoothie_rl.replay import (
+    Batch,
     NotReadyError,
     ReplayBuffer,
     Transition,
     phantom_actions,
-    stack_batch,
 )
 
 
@@ -22,6 +22,14 @@ def _t(i: float) -> Transition:
         next_state=np.array([i + 1.0]),
         done=False,
     )
+
+
+def _as_batch(transitions) -> Batch:
+    """The transitions as a Batch, through the buffer path that training uses."""
+    buf = ReplayBuffer(len(transitions))
+    for t in transitions:
+        buf.push(t)
+    return buf.gather(np.arange(len(transitions)))
 
 
 def test_capacity_validation():
@@ -89,12 +97,12 @@ def test_sampling_deterministic_given_rng():
     assert a == b
 
 
-def test_stack_batch_columns():
+def test_push_gather_columns():
     batch = [
         Transition(np.array([1.0, 2.0]), np.array([0.1]), 3.0, np.array([4.0, 5.0]), True, -0.5),
         Transition(np.array([6.0, 7.0]), np.array([0.2]), 8.0, np.array([9.0, 10.0]), False, None),
     ]
-    S, A, R, S2, D, logq = stack_batch(batch)
+    S, A, R, S2, D, logq = _as_batch(batch)
     assert S.shape == (2, 2) and A.shape == (2, 1) and S2.shape == (2, 2)
     assert np.array_equal(R, np.array([3.0, 8.0]))
     assert np.array_equal(D, np.array([1.0, 0.0]))
@@ -102,7 +110,7 @@ def test_stack_batch_columns():
 
 
 def test_phantom_actions_center_and_spread():
-    batch = stack_batch([_t(0.0) for _ in range(4000)])
+    batch = _as_batch([_t(0.0) for _ in range(4000)])
     var = np.array([0.25])
     draws = phantom_actions(batch, var, np.random.default_rng(0))
     assert draws.shape == (4000, 1)
@@ -111,11 +119,11 @@ def test_phantom_actions_center_and_spread():
 
 
 def test_phantom_actions_zero_variance_returns_stored():
-    batch = stack_batch([_t(float(i)) for i in range(5)])
+    batch = _as_batch([_t(float(i)) for i in range(5)])
     draws = phantom_actions(batch, np.array([0.0]), np.random.default_rng(1))
     assert np.array_equal(draws[:, 0], np.arange(5.0))
 
 
 def test_phantom_actions_rejects_negative_variance():
     with pytest.raises(ValueError):
-        phantom_actions(stack_batch([_t(0.0)]), np.array([-1.0]), np.random.default_rng(0))
+        phantom_actions(_as_batch([_t(0.0)]), np.array([-1.0]), np.random.default_rng(0))

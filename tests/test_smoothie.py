@@ -14,7 +14,7 @@ from smoothie_rl import harness
 from smoothie_rl.deriv_net import AdamState, DerivNet, DivergenceError, Layer, critic_net
 from smoothie_rl.envs import BumpsBandit, StepResult
 from smoothie_rl.gauss_math import DiagGaussian, gh_quadrature, kl_terms, log_density
-from smoothie_rl.replay import Transition, stack_batch
+from smoothie_rl.replay import ReplayBuffer, Transition
 from smoothie_rl.smoothie import (
     VAR_MAX,
     SmoothiePolicy,
@@ -41,9 +41,9 @@ def _policy(seed=0, phi_init=-1.0, state_dim=1, action_dim=1):
 
 def _batch(rng, n=16, state_dim=1, action_dim=1, done=False):
     """A Batch of n random transitions; every row shares ``done``."""
-    out = []
+    buf = ReplayBuffer(n)
     for _ in range(n):
-        out.append(
+        buf.push(
             Transition(
                 state=rng.uniform(-1, 1, state_dim),
                 action=rng.uniform(-1, 1, action_dim),
@@ -52,7 +52,7 @@ def _batch(rng, n=16, state_dim=1, action_dim=1, done=False):
                 done=done,
             )
         )
-    return stack_batch(out)
+    return buf.gather(np.arange(n))
 
 
 # ------------------------------------------------------------------- config
@@ -281,9 +281,9 @@ def test_phantom_regression_learns_smoothed_reward():
     var = 0.36
     rng = np.random.default_rng(0)
     policy = _policy(seed=0, phi_init=float(np.log(var)))
-    batch_pool = []
+    pool = ReplayBuffer(4000)
     for a in rng.uniform(-2.0, 2.0, size=4000):
-        batch_pool.append(
+        pool.push(
             Transition(
                 state=np.zeros(1),
                 action=np.array([a]),
@@ -298,8 +298,8 @@ def test_phantom_regression_learns_smoothed_reward():
     opt = AdamState.for_params(critic.n_params)
     srng = np.random.default_rng(2)
     for _ in range(3000):
-        idx = srng.integers(0, len(batch_pool), size=64)
-        critic_update(critic, target, policy, stack_batch([batch_pool[i] for i in idx]), cfg, opt, srng)
+        idx = srng.integers(0, len(pool), size=64)
+        critic_update(critic, target, policy, pool.gather(idx), cfg, opt, srng)
     probes = np.linspace(-1.2, 1.2, 9)
     worst = 0.0
     for a in probes:
