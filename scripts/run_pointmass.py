@@ -16,17 +16,22 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from smoothie_rl.harness import default_run_config, run  # noqa: E402
+from smoothie_rl import cli  # noqa: E402
+from smoothie_rl.harness import ConfigError, default_run_config, parse_seeds, run  # noqa: E402
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", default="0,1,2,3,4", help="comma-separated seeds")
     parser.add_argument("--out", default="runs/pointmass", help="output directory")
     parser.add_argument("--algorithms", default="smoothie,smoothie_kl",
                         help="comma-separated subset of smoothie,smoothie_kl,ddpg")
-    args = parser.parse_args()
-    seeds = tuple(int(s) for s in args.seeds.split(",") if s.strip())
+    args = parser.parse_args(argv)
+    try:
+        seeds = parse_seeds(args.seeds, "--seeds")
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return cli.EXIT_CONFIG
 
     worst_exit = 0
     rows = []

@@ -56,11 +56,18 @@ def ddpg_critic_update(
     cfg: TrainerConfig,
     opt: AdamState,
 ) -> float:
-    """Huber Bellman regression on stored actions; returns the pre-step loss."""
+    """Huber Bellman regression on stored actions; returns the pre-step loss.
+
+    Terminal rows are not bootstrapped, so on a batch whose rows are all
+    terminal the target is the reward column and the target nets are not run.
+    """
     S, A, R, S2, D, _ = batch
-    mu2 = actor_target.forward(S2)
-    q2 = critic_target.forward(S2, mu2)[:, 0]
-    y = R + cfg.gamma * (1.0 - D) * q2
+    if D.all():
+        y = R
+    else:
+        mu2 = actor_target.forward(S2)
+        q2 = critic_target.forward(S2, mu2)[:, 0]
+        y = R + cfg.gamma * (1.0 - D) * q2
     q, vjp = critic.param_vjp(S, A)
     resid = q[:, 0] - y
     hval, hder = huber(resid, cfg.huber_clip)
@@ -69,7 +76,7 @@ def ddpg_critic_update(
         raise DivergenceError("non-finite critic loss")
     grad = vjp((hder / S.shape[0])[:, None])
     grad = clip_global_norm(grad, cfg.q_grad_clip)
-    critic.set_params(adam_step(critic.get_params(), grad, cfg.critic_lr, opt))
+    adam_step(critic.params, grad, cfg.critic_lr, opt)
     return loss
 
 
@@ -88,7 +95,7 @@ def ddpg_actor_update(
     actor: DerivNet, critic: DerivNet, batch: Batch, cfg: TrainerConfig, opt: AdamState
 ) -> float:
     direction = actor_ascent_direction(actor, critic, batch.S)
-    actor.set_params(adam_step(actor.get_params(), -direction, cfg.actor_lr, opt))
+    adam_step(actor.params, -direction, cfg.actor_lr, opt)
     return float(np.linalg.norm(direction))
 
 
@@ -128,9 +135,7 @@ class DdpgTrainer(Trainer):
             td = ddpg_critic_update(
                 self.critic, self.critic_target, self.actor_target, batch, cfg, self.opt_critic
             )
-            self.actor_target.set_params(
-                polyak_update(self.actor_target.get_params(), self.actor.get_params(), cfg.tau)
-            )
+            polyak_update(self.actor_target.params, self.actor.params, cfg.tau)
         if step % cfg.eval_interval == 0:
             self.eval_returns.append((step, self._eval_episode()))
         return td

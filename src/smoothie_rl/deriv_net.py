@@ -20,9 +20,13 @@ matrix product with W^T.  An identity layer passes Gz and Hz through
 unchanged.  The result is handed back as (batch, out, d_a) and
 (batch, out, d_a, d_a) views.
 
-Each net keeps all of its parameters in one flat array; every layer's
-weight and bias are views into it, so reading, writing and averaging the
-parameters never gathers per-layer arrays.
+Each net keeps all of its parameters in one flat array, ``DerivNet.params``;
+every layer's weight and bias are views into it, so reading, writing and
+averaging the parameters never gathers per-layer arrays.  ``adam_step`` and
+``polyak_update`` write their result into their first argument, so the
+trainers step and average ``net.params`` in place and the layers see the new
+values at once.  ``get_params`` copies and ``set_params`` writes through, for
+callers that want a snapshot.
 
 The module also carries the small optimization toolkit used by the trainers:
 a hand-rolled Adam step, Polyak averaging, a once-differentiable Huber loss,
@@ -160,6 +164,11 @@ class DerivNet:
         # layers back at this net's flat array so they stay aliased to it.
         self.__dict__.update(state)
         self._bind_layers()
+
+    @property
+    def params(self) -> np.ndarray:
+        """The live flat parameter array; every layer's weight and bias are views of it."""
+        return self._params
 
     @property
     def n_params(self) -> int:
@@ -356,8 +365,11 @@ class AdamState:
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, lr: float, state: AdamState) -> np.ndarray:
-    """One Adam descent step; updates ``state.m`` and ``state.v`` in place and
-    returns the updated parameters as a new array.
+    """One Adam descent step, in place: subtracts the step from ``params``,
+    updates ``state.m`` and ``state.v``, and returns ``params``.
+
+    Pass ``net.params`` to step a net; nothing is written when the gradient
+    is rejected.
 
     The arithmetic is that of
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
@@ -384,14 +396,20 @@ def adam_step(params: np.ndarray, grads: np.ndarray, lr: float, state: AdamState
     np.sqrt(b, out=b)
     b += state.eps
     a /= b
-    return params - a
+    params -= a
+    return params
 
 
 def polyak_update(target: np.ndarray, online: np.ndarray, tau: float) -> np.ndarray:
-    """(1 - tau) * target + tau * online."""
+    """Write (1 - tau) * target + tau * online into ``target`` and return it.
+
+    Pass a target net's ``params`` to average it toward the online net's.
+    """
     if not 0.0 <= tau <= 1.0:
         raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    return (1.0 - tau) * target + tau * online
+    target *= 1.0 - tau
+    target += tau * online
+    return target
 
 
 def huber(residual, clip: float):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import get_args, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -140,6 +140,11 @@ _PARSERS = {
     str: (str.lower, "a word"),
     tuple[int, ...]: (_parse_ints, "comma-separated integers"),
 }
+
+
+# How a search row's value converts to each numeric field type.  Log rows
+# sample floats, so they only apply to the fields converted by float.
+_NUMERIC = {int: int, float: float, float | None: float}
 
 
 def _parse(hint, raw: str, where: str):
@@ -348,9 +353,13 @@ class SearchRow:
         hint = _FIELD_TYPES.get(self.name)
         if hint is None:
             raise ValueError(f"search row {self.name!r} names no TrainerConfig field")
-        if self.sampling == "log" and float not in (hint, *get_args(hint)):
+        if self.sampling == "log" and _NUMERIC.get(hint) is not float:
             raise ValueError(
                 f"search row {self.name!r} samples floats, but {self.name} takes {_PARSERS[hint][1]}"
+            )
+        if self.sampling == "fixed" and hint not in _NUMERIC:
+            raise ValueError(
+                f"search row {self.name!r} fixes a number, but {self.name} takes {_PARSERS[hint][1]}"
             )
 
 
@@ -408,8 +417,7 @@ def random_search(spec: SearchSpec, base: RunConfig, rng: np.random.Generator) -
         tcfg = replace(base.trainer)
         for row in spec.rows:
             if row.sampling == "fixed":
-                current = getattr(tcfg, row.name)
-                value = type(current)(row.value)
+                value = _NUMERIC[_FIELD_TYPES[row.name]](row.value)
             elif base.algorithm in row.applies_to:
                 value = float(np.exp(rng.uniform(np.log(row.low), np.log(row.high))))
             else:

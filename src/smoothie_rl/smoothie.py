@@ -187,10 +187,8 @@ class SmoothiePolicy:
         self.log_var = np.clip(self.log_var, np.log(VAR_MIN), np.log(VAR_MAX))
 
     def polyak_targets(self, tau: float) -> None:
-        self.target_mean_net.set_params(
-            polyak_update(self.target_mean_net.get_params(), self.mean_net.get_params(), tau)
-        )
-        self.target_log_var = polyak_update(self.target_log_var, self.log_var, tau)
+        polyak_update(self.target_mean_net.params, self.mean_net.params, tau)
+        polyak_update(self.target_log_var, self.log_var, tau)
 
 
 def shift_output_bias(net: DerivNet, reference_state: np.ndarray, target_output: np.ndarray) -> None:
@@ -203,7 +201,15 @@ def shift_output_bias(net: DerivNet, reference_state: np.ndarray, target_output:
 
 
 def critic_targets(critic_target: DerivNet, policy: SmoothiePolicy, batch: Batch, cfg: TrainerConfig) -> np.ndarray:
-    """Bootstrapped regression targets r + gamma (1 - done) Q(s', mu_target(s'))."""
+    """Bootstrapped regression targets r + gamma (1 - done) Q(s', mu_target(s')).
+
+    Terminal rows are not bootstrapped: their target is the reward alone.  So
+    when every row of the batch is terminal, as on a horizon-1 task, the
+    target policy and the target critic are not run and ``batch.R`` is the
+    target.
+    """
+    if batch.D.all():
+        return batch.R
     mu2 = policy.target_mean(batch.S2)
     q2 = critic_target.forward(batch.S2, mu2)[:, 0]
     return batch.R + cfg.gamma * (1.0 - batch.D) * q2
@@ -249,7 +255,7 @@ def critic_update(
         raise DivergenceError("non-finite critic loss")
     grad = vjp((weights * hder / batch.S.shape[0])[:, None])
     grad = clip_global_norm(grad, cfg.q_grad_clip)
-    critic.set_params(adam_step(critic.get_params(), grad, cfg.critic_lr, opt))
+    adam_step(critic.params, grad, cfg.critic_lr, opt)
     return loss
 
 
@@ -289,14 +295,13 @@ def policy_update(
 ) -> tuple[float, dict]:
     """Ascend mean and covariance; returns (batch-mean KL, gradient norms)."""
     dir_theta, dir_phi, g, h_diag, kl_mean = policy_ascent_directions(policy, critic, batch.S, cfg)
-    params = policy.mean_net.get_params()
-    policy.mean_net.set_params(adam_step(params, -dir_theta, cfg.actor_lr, opt_theta))
+    adam_step(policy.mean_net.params, -dir_theta, cfg.actor_lr, opt_theta)
     if not cfg.freeze_sigma:
         phi_lr = cfg.actor_lr if cfg.phi_lr is None else cfg.phi_lr
         if cfg.phi_optimizer == "sgd":
             policy.log_var = policy.log_var + phi_lr * dir_phi
         else:
-            policy.log_var = adam_step(policy.log_var, -dir_phi, phi_lr, opt_phi)
+            adam_step(policy.log_var, -dir_phi, phi_lr, opt_phi)
         policy.clamp_variance()
     norms = {
         "theta": float(np.linalg.norm(dir_theta)),
@@ -393,11 +398,7 @@ class Trainer:
                 td = self._update(step)
                 if td is not None:
                     last_td = td
-                    self.critic_target.set_params(
-                        polyak_update(
-                            self.critic_target.get_params(), self.critic.get_params(), cfg.tau
-                        )
-                    )
+                    polyak_update(self.critic_target.params, self.critic.params, cfg.tau)
                 if step % cfg.record_interval == 0:
                     if window:
                         last_return = float(np.mean(window))

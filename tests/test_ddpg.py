@@ -25,7 +25,7 @@ def _tanh_actor(seed=0, state_dim=1, action_dim=1):
     return DerivNet(state_dim, 0, layers)
 
 
-def _batch(rng, n=16):
+def _batch(rng, n=16, done=False):
     buf = ReplayBuffer(n)
     for _ in range(n):
         buf.push(Transition(
@@ -33,7 +33,7 @@ def _batch(rng, n=16):
             action=rng.uniform(-1, 1, 1),
             reward=float(rng.uniform(-1, 1)),
             next_state=rng.uniform(-1, 1, 1),
-            done=False,
+            done=done,
         ))
     return buf.gather(np.arange(n))
 
@@ -85,6 +85,24 @@ def test_ddpg_critic_update_moves_online_only():
     assert np.isfinite(loss) and loss > 0.0
     assert np.any(critic.get_params() != before)
     np.testing.assert_array_equal(critic_t.get_params(), before)
+
+
+def test_ddpg_critic_update_all_terminal_regresses_on_rewards():
+    rng = np.random.default_rng(4)
+    critic = critic_net(1, 1, (8, 8), rng)
+    critic_t = critic.clone()
+    actor_t = _tanh_actor(seed=4)
+    batch = _batch(rng, n=32, done=True)
+    cfg = TrainerConfig(huber_clip=0.5)
+    r = critic.forward(batch.S, batch.A)[:, 0] - batch.R
+    want = np.mean(np.where(np.abs(r) <= 0.5, 0.5 * r**2, 0.5 * (np.abs(r) - 0.25)))
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("a target net ran on an all-terminal batch")
+
+    critic_t.forward = actor_t.forward = no_forward
+    loss = ddpg_critic_update(critic, critic_t, actor_t, batch, cfg, AdamState.for_params(critic.n_params))
+    assert loss == pytest.approx(want, rel=1e-12)
 
 
 def test_actor_direction_matches_fd():

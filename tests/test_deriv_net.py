@@ -231,16 +231,22 @@ def test_clone_is_independent():
 
 
 def test_layers_stay_views_of_flat_params():
-    """On a net and on its clone, set_params reaches the layers and in-place
-    layer edits reach get_params."""
+    """On a net and on its clone, set_params reaches the layers, in-place
+    layer edits reach get_params, and ``params`` is the array they share."""
     net = critic_net(2, 1, (5, 5), np.random.default_rng(10))
-    for m in (net, net.clone()):
+    clone = net.clone()
+    for m in (net, clone):
         flat = m.get_params() + 0.25
         m.set_params(flat)
         w0 = m.layers[0].weight
         assert np.array_equal(w0.ravel(), flat[: w0.size])
         m.layers[-1].bias += 1.0
         assert m.get_params()[-1] == flat[-1] + 1.0
+        m.params[0] -= 2.0
+        assert w0[0, 0] == flat[0] - 2.0
+        assert all(np.shares_memory(m.params, a) for l in m.layers for a in (l.weight, l.bias))
+        assert np.array_equal(m.params, m.get_params())
+    assert not np.shares_memory(net.params, clone.params)
 
 
 # ------------------------------------------------------------------ optimizer
@@ -288,6 +294,26 @@ def test_adam_shape_mismatch():
     state = AdamState.for_params(2)
     with pytest.raises(ValueError):
         adam_step(np.zeros(2), np.zeros(3), 0.1, state)
+
+
+def test_adam_step_and_polyak_update_write_into_their_first_argument():
+    g = np.array([0.5, -2.0, 1e-3])
+    params = np.array([0.1, 0.2, 0.3])
+    want = params - 0.1 * g / (np.abs(g) + 1e-8)  # the first step is lr * g / (|g| + eps)
+    assert adam_step(params, g, 0.1, AdamState.for_params(3)) is params
+    np.testing.assert_allclose(params, want, rtol=1e-12)
+    stepped = params.copy()
+    with pytest.raises(DivergenceError):
+        adam_step(params, np.array([np.nan, 0.0, 0.0]), 0.1, AdamState.for_params(3))
+    np.testing.assert_array_equal(params, stepped)
+
+    target, online = np.zeros(4), np.ones(4)
+    assert polyak_update(target, online, 0.25) is target
+    np.testing.assert_array_equal(target, np.full(4, 0.25))
+    np.testing.assert_array_equal(online, np.ones(4))
+    with pytest.raises(ValueError):
+        polyak_update(target, online, -0.1)
+    np.testing.assert_array_equal(target, np.full(4, 0.25))
 
 
 def test_polyak_update_blend():

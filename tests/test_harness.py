@@ -323,6 +323,29 @@ def test_random_search_rejects_bad_row_before_training(tmp_path, monkeypatch, na
     assert repr(name) in str(err.value)
 
 
+def test_random_search_fixed_rows_convert_by_field_type(tmp_path, monkeypatch):
+    seen = []
+
+    def record(cfg, seed):
+        seen.append(cfg.trainer)
+        return _FakeDivergingTrainer()
+
+    monkeypatch.setattr(harness, "_build_trainer", record)
+    base = default_run_config("smoothie", "pointmass")  # phi_lr is None here
+    base.out_dir, base.seeds = str(tmp_path / "out"), (0,)
+    rows = (SearchRow("phi_lr", "fixed", value=1e-3), SearchRow("batch_size", "fixed", value=64.0))
+    random_search(SearchSpec(rows=rows, trials=1), base, np.random.default_rng(0))
+    assert [(t.phi_lr, t.batch_size) for t in seen] == [(1e-3, 64)]
+    assert type(seen[0].batch_size) is int
+
+
+@pytest.mark.parametrize("name,fragment", [("freeze_sigma", "true or false"), ("hidden", "integers")])
+def test_fixed_search_row_rejects_non_numeric_field(name, fragment):
+    with pytest.raises(ValueError, match=fragment) as err:
+        SearchRow(name, "fixed", value=1.0)
+    assert repr(name) in str(err.value)
+
+
 def test_random_search_nan_scores_sort_last(tmp_path, monkeypatch):
     calls = {"n": 0}
     real_build = harness._build_trainer

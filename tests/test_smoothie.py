@@ -219,6 +219,21 @@ def test_critic_targets_masking_and_discount():
     assert y[5] == pytest.approx(R[5])
 
 
+def _no_forward(*args, **kwargs):
+    raise AssertionError("a target net ran on an all-terminal batch")
+
+
+def test_critic_targets_all_terminal_batch_is_the_reward():
+    rng = np.random.default_rng(8)
+    policy = _policy(seed=8)
+    critic_t = critic_net(1, 1, (8, 8), rng)
+    batch = _batch(rng, n=6, done=True)
+    policy.target_mean_net.forward = _no_forward
+    critic_t.forward = _no_forward
+    y = critic_targets(critic_t, policy, batch, TrainerConfig(gamma=0.9))
+    np.testing.assert_array_equal(y, batch.R)
+
+
 # -------------------------------------------------------- importance weights
 
 
