@@ -26,7 +26,19 @@ averaging the parameters never gathers per-layer arrays.  ``adam_step`` and
 ``polyak_update`` write their result into their first argument, so the
 trainers step and average ``net.params`` in place and the layers see the new
 values at once.  ``get_params`` copies and ``set_params`` writes through, for
-callers that want a snapshot.
+callers that want a snapshot.  The invariant every pass relies on: layer
+arrays are views of ``params`` and are never rebound; write into them, never
+assign new arrays to ``Layer.weight`` or ``Layer.bias``.
+
+Every pass runs from one layer plan that ``_bind_layers`` builds when the net
+is made and again after ``__setstate__`` (so after ``clone``, deepcopy and
+unpickling).  A plan entry holds the layer's weight, its transpose view, its
+bias, its activation and width, whether the action is injected there, and
+the offsets of its slice of a flat gradient.  The affine step is
+``z = h @ W.T`` followed by an in-place ``z += b``; tanh and relu overwrite
+``z`` in place; the vjp writes each layer's weight gradient straight into its
+slice of the flat gradient.  The public entry points still validate and
+promote their inputs on every call.
 
 The module also carries the small optimization toolkit used by the trainers:
 a hand-rolled Adam step, Polyak averaging, a once-differentiable Huber loss,
@@ -46,34 +58,6 @@ class DivergenceError(RuntimeError):
 
 
 _ACTIVATIONS = ("tanh", "relu", "identity")
-
-
-def _constant(value: float) -> np.ndarray:
-    c = np.full((1, 1), value)
-    c.flags.writeable = False
-    return c
-
-
-# Constant derivatives, broadcast against (batch, width) activations.
-_ONE = _constant(1.0)
-_ZERO = _constant(0.0)
-
-
-def _activate(name: str, z: np.ndarray, order: int):
-    """Return (f(z), f'(z), f''(z)), the derivatives broadcastable against z.
-
-    Derivatives above ``order`` that cost work to compute come back as None.
-    """
-    if name == "tanh":
-        t = np.tanh(z)
-        fp = 1.0 - t * t if order >= 1 else None
-        return t, fp, (-2.0 * t * fp if order >= 2 else None)
-    if name == "relu":
-        fp = (z > 0.0).astype(float) if order >= 1 else None
-        return np.maximum(z, 0.0), fp, _ZERO
-    if name == "identity":
-        return z, _ONE, _ZERO
-    raise ValueError(f"unknown activation {name!r}")
 
 
 @dataclass
@@ -143,28 +127,32 @@ class DerivNet:
 
     # ---------------------------------------------------------------- params
 
-    def _layer_views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-layer (weight, bias) views into a flat parameter-shaped array."""
-        views = []
-        i = 0
-        for l in self.layers:
-            n_out, n_in = l.weight.shape
-            w = flat[i : i + n_out * n_in].reshape(n_out, n_in)
-            i += n_out * n_in
-            views.append((w, flat[i : i + n_out]))
-            i += n_out
-        return views
-
     def _bind_layers(self) -> None:
-        for l, (w, b) in zip(self.layers, self._layer_views(self._params)):
-            l.weight, l.bias = w, b
+        """Point every layer at its slice of ``params`` and build the layer plan.
+
+        Each plan entry holds what one layer's pass reads: the weight, its
+        transpose view, the bias, the activation, the width, whether the action
+        is concatenated onto the layer's input, and the (weight start, bias
+        start, bias end) offsets of the layer's slice of a flat gradient.
+        """
+        plan = []
+        i = 0
+        for k, l in enumerate(self.layers):
+            n_out, n_in = l.weight.shape
+            j = i + n_out * n_in
+            l.weight = self._params[i:j].reshape(n_out, n_in)
+            l.bias = self._params[j : j + n_out]
+            injected = self.action_dim > 0 and k == self.action_layer
+            plan.append((l.weight, l.weight.T, l.bias, l.activation, n_out, injected, (i, j, j + n_out)))
+            i = j + n_out
+        self._plan = plan
 
     def __setstate__(self, state) -> None:
         # deepcopy and unpickling copy each layer array on its own; point the
-        # layers back at this net's flat array so they stay aliased to it.
+        # layers and the plan back at this net's flat array so they stay
+        # aliased to it.
         self.__dict__.update(state)
         self._bind_layers()
-
     @property
     def params(self) -> np.ndarray:
         """The live flat parameter array; every layer's weight and bias are views of it."""
@@ -219,25 +207,36 @@ class DerivNet:
         G = H = None  # (d_a, B, width) and (d_a, d_a, B, width); zero until the action is injected
         cache = [] if want_cache else None
         h = x
-        for k, layer in enumerate(self.layers):
-            injected = da > 0 and k == self.action_layer
+        for W, WT, b, activation, w, injected, _ in self._plan:
             if injected:
                 h = np.concatenate([h, act], axis=1)
-            z = h @ layer.weight.T + layer.bias
+            z = h @ WT
+            z += b
             on_path = want_derivs and (injected or G is not None)
-            f, fp, fpp = _activate(layer.activation, z, 2 if on_path else int(want_cache))
+            fp = fpp = None  # f'(z) and f''(z), where read; None for identity
+            if activation == "tanh":
+                np.tanh(z, out=z)
+                if on_path or want_cache:
+                    fp = z * z
+                    np.subtract(1.0, fp, out=fp)
+                    if on_path:
+                        fpp = z * -2.0
+                        fpp *= fp
+            elif activation == "relu":  # never on the action path
+                if want_cache:
+                    fp = (z > 0.0).astype(float)
+                np.maximum(z, 0.0, out=z)
             if want_cache:
                 cache.append((h, fp))
             if on_path:
-                w = layer.out_width
                 if injected:
                     # G is [0; I] and H is 0 here, so Gz is the action block of W.
-                    Gz = np.ascontiguousarray(layer.weight[:, h.shape[1] - da :].T)[:, None, :]
+                    Gz = np.ascontiguousarray(WT[h.shape[1] - da :])[:, None, :]
                     Hz = None  # zero
                 else:
-                    Gz = (G.reshape(-1, G.shape[-1]) @ layer.weight.T).reshape(da, B, w)
-                    Hz = (H.reshape(-1, H.shape[-1]) @ layer.weight.T).reshape(da, da, B, w)
-                if layer.activation == "identity":
+                    Gz = (G.reshape(-1, G.shape[-1]) @ WT).reshape(da, B, w)
+                    Hz = (H.reshape(-1, H.shape[-1]) @ WT).reshape(da, da, B, w)
+                if fp is None:  # identity
                     G = np.broadcast_to(Gz, (da, B, w))
                     H = np.zeros((da, da, B, w)) if Hz is None else Hz
                 else:
@@ -246,7 +245,7 @@ class DerivNet:
                     if Hz is not None:
                         Hz *= fp
                         H += Hz
-            h = f
+            h = z
         if not want_derivs:
             return h, None, None, cache
         if G is None:  # no action input
@@ -275,23 +274,29 @@ class DerivNet:
         """
         state, act, _ = self._promote(state, action)
         out, _, _, cache = self._forward_core(state, act, want_derivs=False, want_cache=True)
+        plan = self._plan
 
         def vjp(cotangent) -> np.ndarray:
             cot = np.asarray(cotangent, dtype=float)
             if cot.shape != out.shape:
                 raise ValueError(f"cotangent shape {cot.shape} != {out.shape}")
             grad = np.empty(self.n_params)
-            views = self._layer_views(grad)
             delta = cot
-            for k in range(len(self.layers) - 1, -1, -1):
+            for k in range(len(plan) - 1, -1, -1):
+                W, _, _, _, _, injected, (i, j, end) = plan[k]
                 h_in, fp = cache[k]
-                dz = delta * fp
-                gw, gb = views[k]
-                gw[...] = dz.T @ h_in
-                gb[...] = dz.sum(axis=0)
+                if fp is None:
+                    dz = delta
+                elif delta is cot:
+                    dz = delta * fp
+                else:  # delta is this pass's own array
+                    dz = delta
+                    dz *= fp
+                np.matmul(dz.T, h_in, out=grad[i:j].reshape(W.shape))
+                np.sum(dz, axis=0, out=grad[j:end])
                 if k > 0:
-                    delta = dz @ self.layers[k].weight
-                    if self.action_dim > 0 and k == self.action_layer:
+                    delta = dz @ W
+                    if injected:
                         delta = delta[:, : delta.shape[1] - self.action_dim]
             return grad
 
