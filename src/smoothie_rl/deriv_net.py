@@ -20,6 +20,17 @@ matrix product with W^T.  An identity layer passes Gz and Hz through
 unchanged.  The result is handed back as (batch, out, d_a) and
 (batch, out, d_a, d_a) views.
 
+The fold.  When the action enters at the last hidden layer, a tanh, and a
+linear output layer follows (the layout ``critic_net`` builds for two hidden
+widths), Gz at that layer is the action block Wa of its weight and Hz is
+zero, so the output's derivatives are formed directly:
+
+    G_out = f' @ (Wa * Wo^T)             (batch, width) @ (width, out d_a)
+    H_out = f'' @ (Wa_i Wa_j * Wo^T)     (batch, width) @ (width, out d_a^2)
+
+and no (d_a, batch, width) or (d_a, d_a, batch, width) array is built.
+Deeper critics, and any other layout, take the general pass.
+
 Each net keeps all of its parameters in one flat array, ``DerivNet.params``;
 every layer's weight and bias are views into it, so reading, writing and
 averaging the parameters never gathers per-layer arrays.  ``adam_step`` and
@@ -120,6 +131,15 @@ class DerivNet:
         self.layers = layers
         self.action_layer = action_layer if action_dim > 0 else 0
         self.out_dim = layers[-1].out_width
+        # The action enters at the last hidden layer, a tanh, and a linear
+        # output layer follows: the layout critic_net builds for two hidden
+        # widths, whose output derivatives are formed directly.
+        self._fold = (
+            action_dim > 0
+            and action_layer == len(layers) - 2
+            and layers[action_layer].activation == "tanh"
+            and layers[-1].activation == "identity"
+        )
         self._params = np.concatenate(
             [np.concatenate([np.ravel(l.weight), l.bias]) for l in layers]
         ).astype(float)
@@ -206,6 +226,7 @@ class DerivNet:
         da = self.action_dim
         G = H = None  # (d_a, B, width) and (d_a, d_a, B, width); zero until the action is injected
         cache = [] if want_cache else None
+        fold = want_derivs and self._fold
         h = x
         for W, WT, b, activation, w, injected, _ in self._plan:
             if injected:
@@ -228,7 +249,9 @@ class DerivNet:
                 np.maximum(z, 0.0, out=z)
             if want_cache:
                 cache.append((h, fp))
-            if on_path:
+            if on_path and fold:
+                folded = fp, fpp  # G stays None, so the output layer is left off the path
+            elif on_path:
                 if injected:
                     # G is [0; I] and H is 0 here, so Gz is the action block of W.
                     Gz = np.ascontiguousarray(WT[h.shape[1] - da :])[:, None, :]
@@ -248,9 +271,31 @@ class DerivNet:
             h = z
         if not want_derivs:
             return h, None, None, cache
+        if fold:
+            return (h, *self._folded_output_derivs(*folded), cache)
         if G is None:  # no action input
             G, H = np.zeros((0, B, self.out_dim)), np.zeros((0, 0, B, self.out_dim))
         return h, G.transpose(1, 2, 0), H.transpose(2, 3, 0, 1), cache
+
+    def _folded_output_derivs(self, fp, fpp):
+        """(batch, out, d_a) Jacobian and (batch, out, d_a, d_a) Hessian of a
+        linear output layer fed by the tanh layer where the action enters.
+
+        With f = tanh(z) at that layer, Gz_ik = W[k, a_i] and Hz = 0, so
+        G_oi = sum_k f'_k Wo_ok Wa_ki and H_oij = sum_k f''_k Wo_ok Wa_ki Wa_kj:
+        two (batch, width) matrix products, with no per-unit G or H array.
+        """
+        (_, WT, _, _, w, _, _), (Wo, _, _, _, o, _, _) = self._plan[-2:]
+        da = self.action_dim
+        Wa = WT[WT.shape[0] - da :].T  # (width, d_a)
+        WoT = Wo.T[:, :, None]  # (width, out, 1)
+        # Wa_i Wa_j is formed before the product with Wo, so H is exactly symmetric.
+        mg = WoT * Wa[:, None, :]
+        mh = WoT[..., None] * (Wa[:, :, None] * Wa[:, None, :])[:, None]
+        B = fp.shape[0]
+        G = (fp @ mg.reshape(w, o * da)).reshape(B, o, da)
+        H = (fpp @ mh.reshape(w, o * da * da)).reshape(B, o, da, da)
+        return G, H
 
     def forward(self, state, action=None) -> np.ndarray:
         state, act, single = self._promote(state, action)

@@ -1,6 +1,8 @@
 """Derivative-propagating networks against closed forms and finite differences."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from smoothie_rl.deriv_net import (
     polyak_update,
     save_params,
 )
+from smoothie_rl.smoothie import shift_output_bias
 from smoothie_rl.verify import fd_hessian, fd_jacobian
 
 
@@ -76,6 +79,44 @@ def test_hessian_symmetry():
     a = rng.uniform(-1, 1, size=3)
     H = net.forward_with_action_derivs(s, a).hessian[0]
     assert np.allclose(H, H.T, atol=1e-12)
+
+
+def _two_hidden_closed_form(net, S, A):
+    """Value, Jacobian and Hessian of tanh(W1 s + b1) -> tanh(W2 [h; a] + b2) -> Wo t + bo."""
+    (W1, b1), (W2, b2), (Wo, bo) = ((l.weight, l.bias) for l in net.layers)
+    h = np.tanh(S @ W1.T + b1)
+    t = np.tanh(np.concatenate([h, A], axis=1) @ W2.T + b2)
+    Wa = W2[:, h.shape[1]:]  # (width, d_a)
+    d1 = 1.0 - t**2  # tanh'
+    d2 = -2.0 * t * d1  # tanh''
+    value = t @ Wo.T + bo
+    jac = np.einsum("ok,bk,ki->boi", Wo, d1, Wa)
+    hess = np.einsum("ok,bk,ki,kj->boij", Wo, d2, Wa, Wa)
+    return value, jac, hess
+
+
+@pytest.mark.parametrize("net_kind", ["critic_net", "two_wide_output"])
+def test_two_hidden_critic_derivatives_match_closed_form(net_kind):
+    """The action enters at the last tanh layer and a linear output follows,
+    so G and H of the output are formed straight from that layer."""
+    rng = np.random.default_rng(41)
+    d_s, d_a, B = 2, 3, 7
+    if net_kind == "critic_net":
+        net = critic_net(d_s, d_a, (9, 6), rng)
+    else:
+        shapes = [(9, d_s, "tanh"), (6, 9 + d_a, "tanh"), (2, 6, "identity")]
+        net = DerivNet(d_s, d_a, [_init_layer(n_in, n_out, act, rng) for n_out, n_in, act in shapes],
+                       action_layer=1)
+    S = rng.uniform(-1, 1, size=(B, d_s))
+    A = rng.uniform(-1, 1, size=(B, d_a))
+    trip = net.forward_with_action_derivs(S, A)
+    value, jac, hess = _two_hidden_closed_form(net, S, A)
+    assert trip.jacobian.shape == jac.shape and trip.hessian.shape == hess.shape
+    np.testing.assert_allclose(trip.value, value, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trip.jacobian, jac, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(trip.hessian, hess, rtol=0, atol=1e-12)
+    assert np.array_equal(trip.hessian, np.swapaxes(trip.hessian, 2, 3))
+    assert np.array_equal(net.forward(S, A), trip.value)
 
 
 def test_batched_forward_matches_loop():
@@ -230,23 +271,64 @@ def test_clone_is_independent():
     assert not np.array_equal(net.layers[0].weight, twin.layers[0].weight)
 
 
-def test_layers_stay_views_of_flat_params():
-    """On a net and on its clone, set_params reaches the layers, in-place
-    layer edits reach get_params, and ``params`` is the array they share."""
-    net = critic_net(2, 1, (5, 5), np.random.default_rng(10))
-    clone = net.clone()
-    for m in (net, clone):
-        flat = m.get_params() + 0.25
-        m.set_params(flat)
-        w0 = m.layers[0].weight
-        assert np.array_equal(w0.ravel(), flat[: w0.size])
-        m.layers[-1].bias += 1.0
-        assert m.get_params()[-1] == flat[-1] + 1.0
-        m.params[0] -= 2.0
-        assert w0[0, 0] == flat[0] - 2.0
-        assert all(np.shares_memory(m.params, a) for l in m.layers for a in (l.weight, l.bias))
-        assert np.array_equal(m.params, m.get_params())
-    assert not np.shares_memory(net.params, clone.params)
+def _rebuilt(net):
+    """A new net whose layers are sliced from ``net.get_params()``."""
+    flat, layers, i = net.get_params(), [], 0
+    for l in net.layers:
+        n_out, n_in = l.weight.shape
+        w = flat[i : i + n_out * n_in].reshape(n_out, n_in)
+        i += n_out * n_in
+        layers.append(Layer(w, flat[i : i + n_out], l.activation))
+        i += n_out
+    return DerivNet(net.state_dim, net.action_dim, layers, net.action_layer)
+
+
+def _assert_passes_follow_params(net, S, A):
+    ref = _rebuilt(net)
+    assert np.array_equal(net.forward(S, A), ref.forward(S, A))
+    got, want = net.forward_with_action_derivs(S, A), ref.forward_with_action_derivs(S, A)
+    for a, b in ((got.value, want.value), (got.jacobian, want.jacobian), (got.hessian, want.hessian)):
+        assert np.array_equal(a, b)
+
+
+def test_layers_stay_views_of_flat_params(tmp_path):
+    """On a net and on its copies, set_params reaches the layers, in-place
+    layer edits reach get_params, and ``params`` is the array they share.
+    The layer plan reads those live arrays: after a copy or any in-place
+    write, both passes equal those of a net built afresh from get_params()."""
+    rng = np.random.default_rng(10)
+    S = rng.uniform(-1, 1, size=(6, 2))
+    for build, A in ((critic_net, rng.uniform(-1, 1, size=(6, 2))), (actor_net, None)):
+        net = build(2, 2, (5, 4), rng)
+        donor = build(2, 2, (5, 4), np.random.default_rng(12))
+        save_params(donor, tmp_path / "donor.ckpt")
+        copies = (net.clone(), copy.deepcopy(net), pickle.loads(pickle.dumps(net)))
+        for m in (net,) + copies:
+            _assert_passes_follow_params(m, S, A)
+            flat = m.get_params() + 0.25
+            m.set_params(flat)
+            _assert_passes_follow_params(m, S, A)
+            w0 = m.layers[0].weight
+            assert np.array_equal(w0.ravel(), flat[: w0.size])
+            m.layers[-1].bias += 1.0
+            assert m.get_params()[-1] == flat[-1] + 1.0
+            m.params[0] -= 2.0
+            assert w0[0, 0] == flat[0] - 2.0
+            assert all(np.shares_memory(m.params, a) for l in m.layers for a in (l.weight, l.bias))
+            assert np.array_equal(m.params, m.get_params())
+            _assert_passes_follow_params(m, S, A)
+            adam_step(m.params, rng.normal(size=m.n_params), 0.05, AdamState.for_params(m.n_params))
+            _assert_passes_follow_params(m, S, A)
+            if A is None:  # shift_output_bias evaluates the net on a state alone
+                shift_output_bias(m, S[0], np.array([0.3, -0.2]))
+                np.testing.assert_allclose(m.forward(S[0]), [0.3, -0.2], rtol=0, atol=1e-12)
+                _assert_passes_follow_params(m, S, A)
+            load_params(m, tmp_path / "donor.ckpt")
+            _assert_passes_follow_params(m, S, A)
+            assert np.array_equal(m.forward(S, A), donor.forward(S, A))
+        for c in copies:
+            assert not np.shares_memory(net.params, c.params)
+        _assert_passes_follow_params(net.clone(), S, A)
 
 
 # ------------------------------------------------------------------ optimizer
