@@ -85,7 +85,8 @@ class ReplayBuffer:
     def gather(self, idx) -> Batch:
         """The held transitions at slot indices ``idx`` (each below ``len(self)``)."""
         cols = self._cols
-        return Batch(cols.S[idx], cols.A[idx], cols.R[idx], cols.S2[idx], cols.D[idx], cols.logq[idx])
+        return Batch(cols.S.take(idx, axis=0), cols.A.take(idx, axis=0), cols.R[idx],
+                     cols.S2.take(idx, axis=0), cols.D[idx], cols.logq[idx])
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
         """Uniform sampling with replacement."""

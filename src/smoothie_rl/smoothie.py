@@ -259,11 +259,15 @@ def critic_update(
     return loss
 
 
-def policy_ascent_directions(policy: SmoothiePolicy, critic: DerivNet, states, cfg: TrainerConfig):
+def policy_ascent_directions(
+    policy: SmoothiePolicy, critic: DerivNet, states, cfg: TrainerConfig, want_kl: bool = True
+):
     """Ascent directions for the mean parameters and the log variance.
 
     Returns (theta direction, phi direction, action gradients, Hessian
-    diagonals, batch-mean KL against the target policy).
+    diagonals, batch-mean KL against the target policy).  The KL, and the
+    target mean it needs, are computed only when ``cfg.kl_coeff`` is positive
+    or ``want_kl`` is set; otherwise the KL comes back as None.
     """
     S = np.asarray(states, dtype=float)
     B = S.shape[0]
@@ -273,15 +277,19 @@ def policy_ascent_directions(policy: SmoothiePolicy, critic: DerivNet, states, c
     h_diag = np.diagonal(trip.hessian[:, 0, :, :], axis1=1, axis2=2)
     if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h_diag))):
         raise DivergenceError("non-finite critic derivatives in policy update")
-    mu_t = policy.target_mean(S)
-    kl_k = kl_terms(mu, policy.log_var, mu_t, policy.target_log_var)
-    kl_mean = float(np.mean(kl_k))
     lam = cfg.kl_coeff
-    # d KL / d mu = (mu - mu_target) / var_target, chained through the mean net.
-    cot = g - lam * (mu - mu_t) / np.exp(policy.target_log_var)
+    kl_mean = None
+    if lam > 0.0 or want_kl:
+        mu_t = policy.target_mean(S)
+        kl_mean = float(np.mean(kl_terms(mu, policy.log_var, mu_t, policy.target_log_var)))
+    cot = g
+    dir_phi = 0.5 * np.mean(h_diag, axis=0) * policy.variance
+    if lam > 0.0:
+        # d KL / d mu = (mu - mu_target) / var_target, chained through the mean net.
+        cot = g - lam * (mu - mu_t) / np.exp(policy.target_log_var)
+        dkl_dphi = 0.5 * (np.exp(policy.log_var - policy.target_log_var) - 1.0)
+        dir_phi = dir_phi - lam * dkl_dphi
     dir_theta = mean_vjp(cot / B)
-    dkl_dphi = 0.5 * (np.exp(policy.log_var - policy.target_log_var) - 1.0)
-    dir_phi = 0.5 * np.mean(h_diag, axis=0) * policy.variance - lam * dkl_dphi
     return dir_theta, dir_phi, g, h_diag, kl_mean
 
 
@@ -292,9 +300,15 @@ def policy_update(
     cfg: TrainerConfig,
     opt_theta: AdamState,
     opt_phi: AdamState,
-) -> tuple[float, dict]:
-    """Ascend mean and covariance; returns (batch-mean KL, gradient norms)."""
-    dir_theta, dir_phi, g, h_diag, kl_mean = policy_ascent_directions(policy, critic, batch.S, cfg)
+    want_kl: bool = True,
+) -> tuple[float | None, dict]:
+    """Ascend mean and covariance; returns (batch-mean KL, gradient norms).
+
+    The KL is None when neither the penalty nor ``want_kl`` asks for it.
+    """
+    dir_theta, dir_phi, g, h_diag, kl_mean = policy_ascent_directions(
+        policy, critic, batch.S, cfg, want_kl
+    )
     adam_step(policy.mean_net.params, -dir_theta, cfg.actor_lr, opt_theta)
     if not cfg.freeze_sigma:
         phi_lr = cfg.actor_lr if cfg.phi_lr is None else cfg.phi_lr
@@ -435,9 +449,14 @@ class SmoothieTrainer(Trainer):
             return None
         if step > cfg.warmup_steps:
             batch = self.buffer.sample(cfg.batch_size, rngs["replay"])
-            self.last_kl, _ = policy_update(
-                self.policy, self.critic, batch, cfg, self.opt_theta, self.opt_phi
+            # The KL feeds only the log row, so without a penalty it is
+            # computed only on the steps that write one.
+            kl, _ = policy_update(
+                self.policy, self.critic, batch, cfg, self.opt_theta, self.opt_phi,
+                want_kl=step % cfg.record_interval == 0,
             )
+            if kl is not None:
+                self.last_kl = kl
         batch = self.buffer.sample(cfg.batch_size, rngs["replay"])
         td = critic_update(
             self.critic, self.critic_target, self.policy, batch, cfg, self.opt_critic, rngs["phantom"]

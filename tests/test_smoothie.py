@@ -463,6 +463,29 @@ def test_warmup_trains_critic_only():
     assert np.any(trainer.critic.get_params() != critic0)
 
 
+def test_plain_smoothie_computes_the_kl_only_on_logged_steps(monkeypatch):
+    """Without a penalty the KL feeds only the log row, so a policy step that
+    writes none runs neither kl_terms nor the target mean net."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("KL computed on a step that writes no log row")
+
+    def trainer(kl_coeff):
+        cfg = TrainerConfig(total_steps=40, batch_size=8, record_interval=50,
+                            kl_coeff=kl_coeff, seed=0)
+        t = SmoothieTrainer(BumpsBandit(), cfg)
+        monkeypatch.setattr(t.policy.target_mean_net, "forward", forbidden)
+        return t
+
+    monkeypatch.setattr("smoothie_rl.smoothie.kl_terms", forbidden)
+    plain = trainer(0.0)
+    theta0 = plain.policy.mean_net.get_params()
+    plain.train()  # 33 policy steps, none of them logged
+    assert np.any(plain.policy.mean_net.get_params() != theta0)
+    with pytest.raises(AssertionError, match="no log row"):
+        trainer(0.1).train()
+
+
 def test_train_deterministic_given_seed():
     def one(seed):
         cfg = TrainerConfig(total_steps=300, batch_size=32, record_interval=50, seed=seed)
