@@ -173,6 +173,7 @@ class DerivNet:
         # aliased to it.
         self.__dict__.update(state)
         self._bind_layers()
+
     @property
     def params(self) -> np.ndarray:
         """The live flat parameter array; every layer's weight and bias are views of it."""
@@ -330,13 +331,9 @@ class DerivNet:
             for k in range(len(plan) - 1, -1, -1):
                 W, _, _, _, _, injected, (i, j, end) = plan[k]
                 h_in, fp = cache[k]
-                if fp is None:
-                    dz = delta
-                elif delta is cot:
-                    dz = delta * fp
-                else:  # delta is this pass's own array
-                    dz = delta
-                    dz *= fp
+                dz = delta
+                if fp is not None:  # every delta but the caller's cotangent is this pass's own
+                    dz = delta * fp if delta is cot else np.multiply(delta, fp, out=delta)
                 np.matmul(dz.T, h_in, out=grad[i:j].reshape(W.shape))
                 np.sum(dz, axis=0, out=grad[j:end])
                 if k > 0:
