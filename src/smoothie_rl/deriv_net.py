@@ -17,7 +17,7 @@ Inside the pass the action axes come first: G is a C-contiguous
 (d_a, batch, width) array and H a (d_a, d_a, batch, width) one, so each
 elementwise product runs along the layer width and each affine step is one
 matrix product with W^T.  An identity layer passes Gz and Hz through
-unchanged.  The result is handed back as (batch, out, d_a) and
+unchanged.  The general pass hands the result back as (batch, out, d_a) and
 (batch, out, d_a, d_a) views.
 
 The fold.  When the action enters at the last hidden layer, a tanh, and a
