@@ -1,35 +1,24 @@
-"""Feed-forward networks that carry exact action derivatives through the forward pass.
+"""Feed-forward networks that return exact action derivatives with their output.
 
-A ``DerivNet`` maps (state, action) to an output vector while propagating,
-layer by layer, the Jacobian G and Hessian H of every unit with respect to
-the action coordinates:
+A ``DerivNet`` maps (state, action) to an output vector.  An action net has
+one layout, the DDPG critic's (Lillicrap et al. 2015): state layers, then the
+action concatenated onto the input of the last hidden layer, a tanh, then a
+linear output layer.  The constructor rejects any other layout for a net with
+an action input.  With z = Ws h + Wa a + b and f = tanh(z) at that layer, and
+y = Wo f + bo at the output, z is affine in the action and y linear in f, so
 
-    affine   z = W x + b        Gz = W Gx          Hz = W Hx
-    pointwise o = f(z)          Go = f'(z) Gz      Ho = f''(z) Gz Gz^T + f'(z) Hz
+    G_oi  = dy_o / da_i          = sum_k f'_k  Wo_ok Wa_ki
+    H_oij = d2y_o / da_i da_j    = sum_k f''_k Wo_ok Wa_ki Wa_kj
 
-The action enters by concatenation at a configurable layer index; its rows
-of G are seeded with the identity and its rows of H with zeros.  G and H are
-identically zero before that layer, so propagation starts there.
-Activations on any layer at or after the injection point must be twice
-differentiable, so relu there is rejected at construction.
+with f' = 1 - f^2 and f'' = -2 f f'.  The pass records f' and f'' at that
+layer and forms each as one matrix product:
 
-Inside the pass the action axes come first: G is a C-contiguous
-(d_a, batch, width) array and H a (d_a, d_a, batch, width) one, so each
-elementwise product runs along the layer width and each affine step is one
-matrix product with W^T.  An identity layer passes Gz and Hz through
-unchanged.  The general pass hands the result back as (batch, out, d_a) and
-(batch, out, d_a, d_a) views.
+    G = f' @ (Wa * Wo^T)             (batch, width) @ (width, out d_a)
+    H = f'' @ (Wa_i Wa_j * Wo^T)     (batch, width) @ (width, out d_a^2)
 
-The fold.  When the action enters at the last hidden layer, a tanh, and a
-linear output layer follows (the layout ``critic_net`` builds for two hidden
-widths), Gz at that layer is the action block Wa of its weight and Hz is
-zero, so the output's derivatives are formed directly:
-
-    G_out = f' @ (Wa * Wo^T)             (batch, width) @ (width, out d_a)
-    H_out = f'' @ (Wa_i Wa_j * Wo^T)     (batch, width) @ (width, out d_a^2)
-
-and no (d_a, batch, width) or (d_a, d_a, batch, width) array is built.
-Deeper critics, and any other layout, take the general pass.
+Wa_i Wa_j is formed before the product with Wo, so H is exactly symmetric.
+A net without an action input (the actor) may use relu, and its Jacobian and
+Hessian are empty.
 
 Each net keeps all of its parameters in one flat array, ``DerivNet.params``;
 every layer's weight and bias are views into it, so reading, writing and
@@ -103,43 +92,33 @@ class ForwardTriple:
 
 
 class DerivNet:
-    """MLP over a (state, action) input split with forward-mode action derivatives."""
+    """MLP over a (state, action) input split with exact action derivatives."""
 
-    def __init__(self, state_dim: int, action_dim: int, layers: list[Layer], action_layer: int = 0):
+    def __init__(self, state_dim: int, action_dim: int, layers: list[Layer]):
         if state_dim < 0 or action_dim < 0:
             raise ValueError("negative input widths")
         if not layers:
             raise ValueError("need at least one layer")
-        if action_dim > 0 and not (0 <= action_layer < len(layers)):
-            raise ValueError(f"action_layer {action_layer} out of range")
+        tail = [l.activation for l in layers[-2:]]
+        if action_dim > 0 and tail != ["tanh", "identity"]:
+            raise ValueError(
+                "an action net takes the action at a tanh last hidden layer followed by an "
+                f"identity output layer; its last layers are {tail}"
+            )
         expected = state_dim
         for k, layer in enumerate(layers):
             if layer.activation not in _ACTIVATIONS:
                 raise ValueError(f"unknown activation {layer.activation!r}")
-            width = expected + (action_dim if (action_dim > 0 and k == action_layer) else 0)
+            width = expected + (action_dim if k == len(layers) - 2 else 0)
             if layer.in_width != width:
                 raise ValueError(
                     f"layer {k} expects input width {layer.in_width}, composition gives {width}"
-                )
-            if action_dim > 0 and k >= action_layer and layer.activation == "relu":
-                raise ValueError(
-                    "relu is not twice differentiable and cannot sit on the action path"
                 )
             expected = layer.out_width
         self.state_dim = state_dim
         self.action_dim = action_dim
         self.layers = layers
-        self.action_layer = action_layer if action_dim > 0 else 0
         self.out_dim = layers[-1].out_width
-        # The action enters at the last hidden layer, a tanh, and a linear
-        # output layer follows: the layout critic_net builds for two hidden
-        # widths, whose output derivatives are formed directly.
-        self._fold = (
-            action_dim > 0
-            and action_layer == len(layers) - 2
-            and layers[action_layer].activation == "tanh"
-            and layers[-1].activation == "identity"
-        )
         self._params = np.concatenate(
             [np.concatenate([np.ravel(l.weight), l.bias]) for l in layers]
         ).astype(float)
@@ -162,7 +141,7 @@ class DerivNet:
             j = i + n_out * n_in
             l.weight = self._params[i:j].reshape(n_out, n_in)
             l.bias = self._params[j : j + n_out]
-            injected = self.action_dim > 0 and k == self.action_layer
+            injected = self.action_dim > 0 and k == len(self.layers) - 2
             plan.append((l.weight, l.weight.T, l.bias, l.activation, n_out, injected, (i, j, j + n_out)))
             i = j + n_out
         self._plan = plan
@@ -223,66 +202,42 @@ class DerivNet:
         return state, act, single
 
     def _forward_core(self, x, act, want_derivs: bool, want_cache: bool):
-        B = x.shape[0]
-        da = self.action_dim
-        G = H = None  # (d_a, B, width) and (d_a, d_a, B, width); zero until the action is injected
         cache = [] if want_cache else None
-        fold = want_derivs and self._fold
         h = x
-        for W, WT, b, activation, w, injected, _ in self._plan:
+        for _, WT, b, activation, _, injected, _ in self._plan:
             if injected:
                 h = np.concatenate([h, act], axis=1)
             z = h @ WT
             z += b
-            on_path = want_derivs and (injected or G is not None)
-            fp = fpp = None  # f'(z) and f''(z), where read; None for identity
+            fp = None  # f'(z), where read; None for identity
             if activation == "tanh":
                 np.tanh(z, out=z)
-                if on_path or want_cache:
+                at_action = want_derivs and injected
+                if at_action or want_cache:
                     fp = z * z
                     np.subtract(1.0, fp, out=fp)
-                    if on_path:
-                        fpp = z * -2.0
-                        fpp *= fp
-            elif activation == "relu":  # never on the action path
+                if at_action:
+                    fpp = z * -2.0
+                    fpp *= fp
+                    action_fp = fp, fpp
+            elif activation == "relu":  # never where the action enters
                 if want_cache:
                     fp = (z > 0.0).astype(float)
                 np.maximum(z, 0.0, out=z)
             if want_cache:
                 cache.append((h, fp))
-            if on_path and fold:
-                folded = fp, fpp  # G stays None, so the output layer is left off the path
-            elif on_path:
-                if injected:
-                    # G is [0; I] and H is 0 here, so Gz is the action block of W.
-                    Gz = np.ascontiguousarray(WT[h.shape[1] - da :])[:, None, :]
-                    Hz = None  # zero
-                else:
-                    Gz = (G.reshape(-1, G.shape[-1]) @ WT).reshape(da, B, w)
-                    Hz = (H.reshape(-1, H.shape[-1]) @ WT).reshape(da, da, B, w)
-                if fp is None:  # identity
-                    G = np.broadcast_to(Gz, (da, B, w))
-                    H = np.zeros((da, da, B, w)) if Hz is None else Hz
-                else:
-                    G = fp * Gz
-                    H = fpp * (Gz[:, None] * Gz[None, :])
-                    if Hz is not None:
-                        Hz *= fp
-                        H += Hz
             h = z
         if not want_derivs:
             return h, None, None, cache
-        if fold:
-            return (h, *self._folded_output_derivs(*folded), cache)
-        if G is None:  # no action input
-            G, H = np.zeros((0, B, self.out_dim)), np.zeros((0, 0, B, self.out_dim))
-        return h, G.transpose(1, 2, 0), H.transpose(2, 3, 0, 1), cache
+        if self.action_dim == 0:
+            B = x.shape[0]
+            return h, np.zeros((B, self.out_dim, 0)), np.zeros((B, self.out_dim, 0, 0)), cache
+        return (h, *self._output_derivs(*action_fp), cache)
 
-    def _folded_output_derivs(self, fp, fpp):
-        """(batch, out, d_a) Jacobian and (batch, out, d_a, d_a) Hessian of a
-        linear output layer fed by the tanh layer where the action enters.
+    def _output_derivs(self, fp, fpp):
+        """(batch, out, d_a) Jacobian and (batch, out, d_a, d_a) Hessian of the
+        output, from f' and f'' of the tanh layer where the action enters.
 
-        With f = tanh(z) at that layer, Gz_ik = W[k, a_i] and Hz = 0, so
         G_oi = sum_k f'_k Wo_ok Wa_ki and H_oij = sum_k f''_k Wo_ok Wa_ki Wa_kj:
         two (batch, width) matrix products, with no per-unit G or H array.
         """
@@ -362,17 +317,16 @@ def critic_net(
     hidden: tuple[int, ...] = (64, 64),
     rng: np.random.Generator | None = None,
 ) -> DerivNet:
-    """State embedding, then action concatenation, tanh throughout, scalar output."""
+    """State layers, then the action joins the last hidden layer; tanh throughout,
+    scalar linear output."""
     if len(hidden) < 2:
         raise ValueError("critic needs at least two hidden layers")
     rng = rng or np.random.default_rng(0)
-    layers = [_init_layer(state_dim, hidden[0], "tanh", rng)]
-    prev = hidden[0] + action_dim
-    for w in hidden[1:]:
-        layers.append(_init_layer(prev, w, "tanh", rng))
-        prev = w
-    layers.append(_init_layer(prev, 1, "identity", rng))
-    return DerivNet(state_dim, action_dim, layers, action_layer=1)
+    widths = (state_dim, *hidden)
+    layers = [_init_layer(n_in, n_out, "tanh", rng) for n_in, n_out in zip(widths[:-2], widths[1:-1])]
+    layers.append(_init_layer(hidden[-2] + action_dim, hidden[-1], "tanh", rng))
+    layers.append(_init_layer(hidden[-1], 1, "identity", rng))
+    return DerivNet(state_dim, action_dim, layers)
 
 
 def actor_net(
@@ -389,7 +343,7 @@ def actor_net(
         layers.append(_init_layer(prev, w, "relu", rng))
         prev = w
     layers.append(_init_layer(prev, action_dim, "identity", rng))
-    return DerivNet(state_dim, 0, layers, action_layer=0)
+    return DerivNet(state_dim, 0, layers)
 
 
 # ----------------------------------------------------------------- optimizer

@@ -27,10 +27,11 @@ from smoothie_rl.verify import fd_hessian, fd_jacobian
 
 
 def _single_tanh_net():
-    """One tanh unit on [state, action]: y = tanh(ws s + wa a + b)."""
+    """One tanh unit on [state, action] read by a unit identity output: y = tanh(ws s + wa a + b)."""
     w = np.array([[0.7, -1.3]])
     b = np.array([0.2])
-    return DerivNet(1, 1, [Layer(weight=w, bias=b, activation="tanh")], action_layer=0)
+    out = Layer(weight=np.ones((1, 1)), bias=np.zeros(1), activation="identity")
+    return DerivNet(1, 1, [Layer(weight=w, bias=b, activation="tanh"), out])
 
 
 def test_single_tanh_closed_form_derivatives():
@@ -105,8 +106,7 @@ def test_two_hidden_critic_derivatives_match_closed_form(net_kind):
         net = critic_net(d_s, d_a, (9, 6), rng)
     else:
         shapes = [(9, d_s, "tanh"), (6, 9 + d_a, "tanh"), (2, 6, "identity")]
-        net = DerivNet(d_s, d_a, [_init_layer(n_in, n_out, act, rng) for n_out, n_in, act in shapes],
-                       action_layer=1)
+        net = DerivNet(d_s, d_a, [_init_layer(n_in, n_out, act, rng) for n_out, n_in, act in shapes])
     S = rng.uniform(-1, 1, size=(B, d_s))
     A = rng.uniform(-1, 1, size=(B, d_a))
     trip = net.forward_with_action_derivs(S, A)
@@ -135,7 +135,7 @@ def test_batched_forward_matches_loop():
 
 
 def _deep_critic_batch():
-    """Three hidden layers, so a tanh layer after the injection sees a non-zero H."""
+    """Three hidden layers: two state layers, then the action joins the last one."""
     rng = np.random.default_rng(4)
     net = critic_net(3, 3, (12, 10, 8), rng)
     S = rng.uniform(-1, 1, size=(6, 3))
@@ -166,21 +166,6 @@ def test_deep_critic_batch_rows_match_single_calls():
         assert np.allclose(trip.value[k], tk.value, atol=1e-14)
         assert np.allclose(trip.jacobian[k], tk.jacobian, atol=1e-14)
         assert np.allclose(trip.hessian[k], tk.hessian, atol=1e-14)
-
-
-def test_identity_layers_on_action_path_vs_finite_differences():
-    # identity at the injection layer and between tanh layers
-    rng = np.random.default_rng(5)
-    shapes = [(6, 2, "tanh"), (5, 8, "identity"), (4, 5, "tanh"), (4, 4, "identity"), (2, 4, "tanh")]
-    layers = [_init_layer(n_in, n_out, act, rng) for n_out, n_in, act in shapes]
-    net = DerivNet(2, 2, layers, action_layer=1)
-    S = rng.uniform(-1, 1, size=(4, 2))
-    A = rng.uniform(-1, 1, size=(4, 2))
-    trip = net.forward_with_action_derivs(S, A)
-    assert trip.jacobian.shape == (4, 2, 2) and trip.hessian.shape == (4, 2, 2, 2)
-    for k in range(len(S)):
-        assert np.max(np.abs(trip.jacobian[k] - fd_jacobian(net, S[k], A[k]))) < 1e-7
-        assert np.max(np.abs(trip.hessian[k] - fd_hessian(net, S[k], A[k]))) < 1e-5
 
 
 def test_param_gradient_vs_finite_differences():
@@ -237,8 +222,24 @@ def test_relu_rejected_on_action_path():
             1, 1,
             [Layer(np.zeros((4, 2)), np.zeros(4), "relu"),
              Layer(np.zeros((1, 4)), np.zeros(1), "identity")],
-            action_layer=0,
         )
+
+
+@pytest.mark.parametrize("shapes", [
+    [(4, 3, "tanh"), (1, 4, "tanh")],  # output layer not identity
+    [(4, 3, "identity"), (1, 4, "identity")],  # action layer not tanh
+    [(1, 3, "tanh")],  # no output layer after the action layer
+])
+def test_action_net_of_another_layout_rejected(shapes):
+    layers = [Layer(np.zeros((n_out, n_in)), np.zeros(n_out), act) for n_out, n_in, act in shapes]
+    with pytest.raises(ValueError, match="last hidden layer"):
+        DerivNet(2, 1, layers)
+
+
+def test_critic_net_feeds_the_action_into_its_last_hidden_layer():
+    net = critic_net(3, 3, (12, 10, 8))
+    assert [l.in_width for l in net.layers] == [3, 12, 10 + 3, 8]
+    assert [l.activation for l in net.layers] == ["tanh", "tanh", "tanh", "identity"]
 
 
 def test_critic_net_rejects_single_hidden_layer():
@@ -247,8 +248,10 @@ def test_critic_net_rejects_single_hidden_layer():
 
 
 def test_layer_width_mismatch_rejected():
+    # the action layer takes 2 state and 1 action inputs, but is 2 wide
     with pytest.raises(ValueError, match="width"):
-        DerivNet(2, 1, [Layer(np.zeros((3, 2)), np.zeros(3), "tanh")], action_layer=0)
+        DerivNet(2, 1, [Layer(np.zeros((3, 2)), np.zeros(3), "tanh"),
+                        Layer(np.zeros((1, 3)), np.zeros(1), "identity")])
 
 
 def test_get_set_params_round_trip():
@@ -280,7 +283,7 @@ def _rebuilt(net):
         i += n_out * n_in
         layers.append(Layer(w, flat[i : i + n_out], l.activation))
         i += n_out
-    return DerivNet(net.state_dim, net.action_dim, layers, net.action_layer)
+    return DerivNet(net.state_dim, net.action_dim, layers)
 
 
 def _assert_passes_follow_params(net, S, A):
