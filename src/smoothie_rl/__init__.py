@@ -7,7 +7,7 @@ machinery, toy environments, numerical verification oracles and a small
 experiment harness round out the package.
 """
 
-from .gauss_math import DiagGaussian, QuadratureRule, gh_quadrature, kl_divergence
+from .gauss_math import QuadratureRule, gh_quadrature
 from .deriv_net import DerivNet, ForwardTriple, AdamState, DivergenceError
 from .envs import BumpsBandit, PointMass, EnvSpec, StepResult
 from .replay import Batch, ReplayBuffer, Transition, NotReadyError
@@ -18,10 +18,8 @@ from .harness import RunConfig, ConfigError, parse_config, dump_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiagGaussian",
     "QuadratureRule",
     "gh_quadrature",
-    "kl_divergence",
     "DerivNet",
     "ForwardTriple",
     "AdamState",

@@ -93,10 +93,9 @@ def actor_ascent_direction(actor: DerivNet, critic: DerivNet, states) -> np.ndar
 
 def ddpg_actor_update(
     actor: DerivNet, critic: DerivNet, batch: Batch, cfg: TrainerConfig, opt: AdamState
-) -> float:
+) -> None:
     direction = actor_ascent_direction(actor, critic, batch.S)
     adam_step(actor.params, -direction, cfg.actor_lr, opt)
-    return float(np.linalg.norm(direction))
 
 
 class DdpgTrainer(Trainer):

@@ -301,12 +301,11 @@ def policy_update(
     opt_theta: AdamState,
     opt_phi: AdamState,
     want_kl: bool = True,
-) -> tuple[float | None, dict]:
-    """Ascend mean and covariance; returns (batch-mean KL, gradient norms).
-
-    The KL is None when neither the penalty nor ``want_kl`` asks for it.
+) -> float | None:
+    """Ascend mean and covariance; returns the batch-mean KL against the target
+    policy, or None when neither the penalty nor ``want_kl`` asks for it.
     """
-    dir_theta, dir_phi, g, h_diag, kl_mean = policy_ascent_directions(
+    dir_theta, dir_phi, _, _, kl_mean = policy_ascent_directions(
         policy, critic, batch.S, cfg, want_kl
     )
     adam_step(policy.mean_net.params, -dir_theta, cfg.actor_lr, opt_theta)
@@ -317,13 +316,7 @@ def policy_update(
         else:
             adam_step(policy.log_var, -dir_phi, phi_lr, opt_phi)
         policy.clamp_variance()
-    norms = {
-        "theta": float(np.linalg.norm(dir_theta)),
-        "phi": float(np.linalg.norm(dir_phi)),
-        "g": float(np.linalg.norm(g)),
-        "h": float(np.linalg.norm(h_diag)),
-    }
-    return kl_mean, norms
+    return kl_mean
 
 
 # ------------------------------------------------------------------- trainer
@@ -451,7 +444,7 @@ class SmoothieTrainer(Trainer):
             batch = self.buffer.sample(cfg.batch_size, rngs["replay"])
             # The KL feeds only the log row, so without a penalty it is
             # computed only on the steps that write one.
-            kl, _ = policy_update(
+            kl = policy_update(
                 self.policy, self.critic, batch, cfg, self.opt_theta, self.opt_phi,
                 want_kl=step % cfg.record_interval == 0,
             )
