@@ -238,8 +238,8 @@ class DerivNet:
         """(batch, out, d_a) Jacobian and (batch, out, d_a, d_a) Hessian of the
         output, from f' and f'' of the tanh layer where the action enters.
 
-        G_oi = sum_k f'_k Wo_ok Wa_ki and H_oij = sum_k f''_k Wo_ok Wa_ki Wa_kj:
-        two (batch, width) matrix products, with no per-unit G or H array.
+        G_oi = sum_k f'_k Wo_ok Wa_ki and H_oij = sum_k f''_k Wo_ok Wa_ki Wa_kj,
+        each one (batch, width) matrix product.
         """
         (_, WT, _, _, w, _, _), (Wo, _, _, _, o, _, _) = self._plan[-2:]
         da = self.action_dim
