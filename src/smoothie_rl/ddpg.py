@@ -1,10 +1,11 @@
 """Deterministic-policy-gradient baseline with Ornstein-Uhlenbeck exploration.
 
-The critic regresses on stored actions (no phantom resampling) and the actor
-ascends the critic's action gradient at the deterministic action.  With the
-policy covariance of the smoothed trainer frozen at a negligible value the
-two mean updates coincide; this baseline keeps its own code path so that
-equivalence stays a real check.
+The critic step is the smoothed trainer's ``bellman_step`` on the stored
+actions with unit weight, which is the smoothed Bellman regression at zero
+covariance.  The actor ascends the critic's action gradient at the
+deterministic action.  With the policy covariance of the smoothed trainer
+frozen at a negligible value the two mean updates coincide; the actor keeps
+its own code path so that this equivalence (C6) stays a real check.
 """
 
 from __future__ import annotations
@@ -13,17 +14,9 @@ import copy
 
 import numpy as np
 
-from .deriv_net import (
-    AdamState,
-    DerivNet,
-    DivergenceError,
-    adam_step,
-    clip_global_norm,
-    huber,
-    polyak_update,
-)
+from .deriv_net import AdamState, DerivNet, DivergenceError, adam_step, polyak_update
 from .replay import Batch
-from .smoothie import Trainer, TrainerConfig
+from .smoothie import Trainer, TrainerConfig, bellman_step
 
 
 class OuNoise:
@@ -56,28 +49,8 @@ def ddpg_critic_update(
     cfg: TrainerConfig,
     opt: AdamState,
 ) -> float:
-    """Huber Bellman regression on stored actions; returns the pre-step loss.
-
-    Terminal rows are not bootstrapped, so on a batch whose rows are all
-    terminal the target is the reward column and the target nets are not run.
-    """
-    S, A, R, S2, D, _ = batch
-    if D.all():
-        y = R
-    else:
-        mu2 = actor_target.forward(S2)
-        q2 = critic_target.forward(S2, mu2)[:, 0]
-        y = R + cfg.gamma * (1.0 - D) * q2
-    q, vjp = critic.param_vjp(S, A)
-    resid = q[:, 0] - y
-    hval, hder = huber(resid, cfg.huber_clip)
-    loss = float(np.mean(hval))
-    if not np.isfinite(loss):
-        raise DivergenceError("non-finite critic loss")
-    grad = vjp((hder / S.shape[0])[:, None])
-    grad = clip_global_norm(grad, cfg.q_grad_clip)
-    adam_step(critic.params, grad, cfg.critic_lr, opt)
-    return loss
+    """The shared Bellman step on the stored actions with unit weight; returns the pre-step loss."""
+    return bellman_step(critic, critic_target, actor_target, batch, batch.A, 1.0, cfg, opt)
 
 
 def actor_ascent_direction(actor: DerivNet, critic: DerivNet, states) -> np.ndarray:
@@ -99,7 +72,7 @@ def ddpg_actor_update(
 
 
 class DdpgTrainer(Trainer):
-    """Collection with OU exploration, one critic and one actor update per step."""
+    """Collection with OU exploration, one critic and, after the warmup, one actor update per step."""
 
     def __init__(self, env, cfg: TrainerConfig):
         super().__init__(env, cfg)
@@ -128,8 +101,9 @@ class DdpgTrainer(Trainer):
         cfg, rngs = self.cfg, self.rngs
         td = None
         if len(self.buffer) >= cfg.batch_size:
-            batch = self.buffer.sample(cfg.batch_size, rngs["replay"])
-            ddpg_actor_update(self.actor, self.critic, batch, cfg, self.opt_actor)
+            if step > cfg.warmup_steps:
+                batch = self.buffer.sample(cfg.batch_size, rngs["replay"])
+                ddpg_actor_update(self.actor, self.critic, batch, cfg, self.opt_actor)
             batch = self.buffer.sample(cfg.batch_size, rngs["replay"])
             td = ddpg_critic_update(
                 self.critic, self.critic_target, self.actor_target, batch, cfg, self.opt_critic

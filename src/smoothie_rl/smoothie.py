@@ -1,12 +1,15 @@
 """Gaussian-policy actor-critic driven by a smoothed action-value critic.
 
 The critic is trained toward a smoothed Bellman target using phantom
-actions resampled around the stored ones.  The policy mean ascends the
-critic's action gradient evaluated at the mean, and the policy covariance
-ascends half the critic's action Hessian, which equals the covariance
-gradient of the smoothed value.  An optional KL penalty with coefficient
-``kl_coeff`` pulls each update toward the slowly moving target policy.
-The collection loop, ``Trainer.train``, is shared with the DDPG baseline.
+actions resampled around the stored ones.  Its step, ``bellman_step``, is
+shared with the DDPG baseline, which takes it on the stored actions with
+unit weight: the smoothed regression at zero covariance.  The policy mean
+ascends the critic's action gradient evaluated at the mean, and the policy
+covariance ascends half the critic's action Hessian, which equals the
+covariance gradient of the smoothed value.  An optional KL penalty with
+coefficient ``kl_coeff`` pulls each update toward the slowly moving target
+policy.  The collection loop, ``Trainer.train``, is shared with the DDPG
+baseline.
 """
 
 from __future__ import annotations
@@ -54,6 +57,8 @@ CONFIG_RANGES = {
     "huber_clip": (lambda v: v > 0.0, "must be positive"),
     "q_grad_clip": (lambda v: v > 0.0, "must be positive"),
     "kl_coeff": (lambda v: v >= 0.0, "must be nonnegative"),
+    "phi_init": (lambda v: np.isfinite(v), "must be finite"),
+    "mu_init": (lambda v: v is None or np.isfinite(v), "must be finite or none"),
     "batch_size": (lambda v: v >= 1, "must be >= 1"),
     "total_steps": (lambda v: v >= 1, "must be >= 1"),
     "warmup_steps": (lambda v: v >= 0, "must be >= 0"),
@@ -200,22 +205,23 @@ def shift_output_bias(net: DerivNet, reference_state: np.ndarray, target_output:
 # ------------------------------------------------------------------- updates
 
 
-def critic_targets(critic_target: DerivNet, policy: SmoothiePolicy, batch: Batch, cfg: TrainerConfig) -> np.ndarray:
+def critic_targets(critic_target: DerivNet, target_actor: DerivNet, batch: Batch, cfg: TrainerConfig) -> np.ndarray:
     """Bootstrapped regression targets r + gamma (1 - done) Q(s', mu_target(s')).
 
-    Terminal rows are not bootstrapped: their target is the reward alone.  So
-    when every row of the batch is terminal, as on a horizon-1 task, the
-    target policy and the target critic are not run and ``batch.R`` is the
-    target.
+    ``target_actor`` is the target mean net: the smoothed trainer's target
+    policy mean, or DDPG's target actor.  Terminal rows are not
+    bootstrapped: their target is the reward alone.  So when every row of the
+    batch is terminal, as on a horizon-1 task, the target nets are not run
+    and ``batch.R`` is the target.
     """
     if batch.D.all():
         return batch.R
-    mu2 = policy.target_mean(batch.S2)
+    mu2 = target_actor.forward(batch.S2)
     q2 = critic_target.forward(batch.S2, mu2)[:, 0]
     return batch.R + cfg.gamma * (1.0 - batch.D) * q2
 
 
-def _importance_weights(logq, cfg: TrainerConfig) -> np.ndarray:
+def _importance_weights(logq, cfg: TrainerConfig) -> np.ndarray | float:
     """Per-sample loss weights correcting for the replay action distribution.
 
     The phantom sampling itself supplies the Gaussian kernel around the
@@ -223,15 +229,42 @@ def _importance_weights(logq, cfg: TrainerConfig) -> np.ndarray:
     smoothed Bellman fixed point for any full-support behavior density.
     Weights are normalized to mean one per batch; the minimizer is invariant
     to the overall scale and normalization keeps step sizes comparable.
-    The default leaves weights at one, treating the buffer as near-uniform.
+    The default is the scalar weight 1.0, treating the buffer as near-uniform.
     """
-    n = logq.shape[0]
     if not cfg.track_behavior_density:
-        return np.ones(n)
+        return 1.0
     if np.any(np.isnan(logq)):
         raise ValueError("track_behavior_density set but stored log densities are missing")
     w = np.exp(np.min(logq) - logq)
-    return w * (n / np.sum(w))
+    return w * (logq.shape[0] / np.sum(w))
+
+
+def bellman_step(
+    critic: DerivNet,
+    critic_target: DerivNet,
+    target_actor: DerivNet,
+    batch: Batch,
+    actions: np.ndarray,
+    weights: np.ndarray | float,
+    cfg: TrainerConfig,
+    opt: AdamState,
+) -> float:
+    """One Adam step on the weighted Huber regression of Q(s, actions) on the
+    Bellman targets; returns the pre-step loss.
+
+    Both trainers' critics step here: the smoothed trainer at phantom
+    actions with importance weights, DDPG at the stored actions with weight
+    1.0 (the smoothed regression at zero covariance).
+    """
+    y = critic_targets(critic_target, target_actor, batch, cfg)
+    q, vjp = critic.param_vjp(batch.S, actions)
+    hval, hder = huber(q[:, 0] - y, cfg.huber_clip)
+    loss = float(np.mean(weights * hval))
+    if not np.isfinite(loss):
+        raise DivergenceError("non-finite critic loss")
+    grad = vjp((weights * hder / batch.S.shape[0])[:, None])
+    adam_step(critic.params, clip_global_norm(grad, cfg.q_grad_clip), cfg.critic_lr, opt)
+    return loss
 
 
 def critic_update(
@@ -244,19 +277,9 @@ def critic_update(
     rng: np.random.Generator,
 ) -> float:
     """One step on the phantom-action Bellman loss; returns the pre-step loss."""
-    y = critic_targets(critic_target, policy, batch, cfg)
     phantoms = phantom_actions(batch, policy.variance, rng)
     weights = _importance_weights(batch.logq, cfg)
-    q, vjp = critic.param_vjp(batch.S, phantoms)
-    resid = q[:, 0] - y
-    hval, hder = huber(resid, cfg.huber_clip)
-    loss = float(np.mean(weights * hval))
-    if not np.isfinite(loss):
-        raise DivergenceError("non-finite critic loss")
-    grad = vjp((weights * hder / batch.S.shape[0])[:, None])
-    grad = clip_global_norm(grad, cfg.q_grad_clip)
-    adam_step(critic.params, grad, cfg.critic_lr, opt)
-    return loss
+    return bellman_step(critic, critic_target, policy.target_mean_net, batch, phantoms, weights, cfg, opt)
 
 
 def policy_ascent_directions(

@@ -13,7 +13,12 @@ from smoothie_rl.ddpg import (
 from smoothie_rl.deriv_net import AdamState, DerivNet, Layer, adam_step, critic_net
 from smoothie_rl.envs import BumpsBandit
 from smoothie_rl.replay import ReplayBuffer, Transition
-from smoothie_rl.smoothie import SmoothiePolicy, TrainerConfig, policy_ascent_directions
+from smoothie_rl.smoothie import (
+    SmoothiePolicy,
+    TrainerConfig,
+    critic_update,
+    policy_ascent_directions,
+)
 
 
 def _tanh_actor(seed=0, state_dim=1, action_dim=1):
@@ -155,7 +160,41 @@ def test_mean_update_equals_ddpg_at_frozen_tiny_variance():
     assert float(np.max(np.abs(stepped_smoothie - stepped_ddpg))) / scale < 1e-6
 
 
+def test_critic_update_equals_ddpg_at_underflowed_variance():
+    """At log variance -1000 the policy variance underflows to 0.0, so the
+    phantom actions are the stored ones; with density tracking off the
+    smoothed critic step is DDPG's, bit for bit."""
+    rng = np.random.default_rng(9)
+    critic = critic_net(1, 1, (8, 8), rng)
+    critic_t = critic.clone()
+    base = _tanh_actor(seed=9)
+    policy = SmoothiePolicy(base.clone(), 1, phi_init=-1000.0)
+    assert policy.variance[0] == 0.0
+    batch = _batch(rng, n=32)
+    cfg = TrainerConfig()
+
+    smooth, ddpg = critic.clone(), critic.clone()
+    loss_smooth = critic_update(smooth, critic_t, policy, batch, cfg,
+                                AdamState.for_params(critic.n_params), rng)
+    loss_ddpg = ddpg_critic_update(ddpg, critic_t, base.clone(), batch, cfg,
+                                   AdamState.for_params(critic.n_params))
+    assert loss_smooth == loss_ddpg
+    np.testing.assert_array_equal(smooth.get_params(), ddpg.get_params())
+    assert np.any(smooth.get_params() != critic.get_params())
+
+
 # ------------------------------------------------------------------- trainer
+
+
+def test_ddpg_warmup_trains_critic_only():
+    cfg = TrainerConfig(total_steps=60, warmup_steps=60, batch_size=8,
+                        record_interval=20, seed=1)
+    trainer = DdpgTrainer(BumpsBandit(), cfg)
+    actor0 = trainer.actor.get_params().copy()
+    critic0 = trainer.critic.get_params().copy()
+    trainer.train()
+    np.testing.assert_array_equal(trainer.actor.get_params(), actor0)
+    assert np.any(trainer.critic.get_params() != critic0)
 
 
 def test_ddpg_trainer_smoke_and_determinism():

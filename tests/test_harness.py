@@ -93,6 +93,8 @@ def test_parse_comments_blanks_and_overrides():
         (MINIMAL + "seeds = \n", "at least one"),
         (MINIMAL + "out_dir = \n", "empty"),
         (MINIMAL + "phi_lr = -1\n", "positive"),
+        (MINIMAL + "phi_init = nan\n", "line 3"),
+        (MINIMAL + "mu_init = inf\n", "line 3"),
     ],
 )
 def test_parse_errors_carry_context(text, fragment):

@@ -85,6 +85,8 @@ def _batch(rng, n=16, state_dim=1, action_dim=1, done=False):
         {"ou_damping": 0.0},
         {"hidden": (8,)},
         {"hidden": (0, 4)},
+        {"phi_init": float("nan")},
+        {"mu_init": float("inf")},
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -211,7 +213,7 @@ def test_critic_targets_masking_and_discount():
     cfg = TrainerConfig(gamma=0.9)
     batch = _batch(rng, n=6)
     batch.D[[2, 5]] = 1.0
-    y = critic_targets(critic_t, policy, batch, cfg)
+    y = critic_targets(critic_t, policy.target_mean_net, batch, cfg)
     _, _, R, S2, D, _ = batch
     mu2 = policy.target_mean(S2)
     q2 = critic_t.forward(S2, mu2)[:, 0]
@@ -231,7 +233,7 @@ def test_critic_targets_all_terminal_batch_is_the_reward():
     batch = _batch(rng, n=6, done=True)
     policy.target_mean_net.forward = _no_forward
     critic_t.forward = _no_forward
-    y = critic_targets(critic_t, policy, batch, TrainerConfig(gamma=0.9))
+    y = critic_targets(critic_t, policy.target_mean_net, batch, TrainerConfig(gamma=0.9))
     np.testing.assert_array_equal(y, batch.R)
 
 
