@@ -72,7 +72,7 @@ def ddpg_actor_update(
 
 
 class DdpgTrainer(Trainer):
-    """Collection with OU exploration, one critic and, after the warmup, one actor update per step."""
+    """OU-noise collection; one critic update per step, and one actor update past the warmup."""
 
     def __init__(self, env, cfg: TrainerConfig):
         super().__init__(env, cfg)
