@@ -1,11 +1,11 @@
 """Deterministic-policy-gradient baseline with Ornstein-Uhlenbeck exploration.
 
 The critic step is the smoothed trainer's ``bellman_step`` on the stored
-actions with unit weight, which is the smoothed Bellman regression at zero
-covariance.  The actor ascends the critic's action gradient at the
-deterministic action.  With the policy covariance of the smoothed trainer
-frozen at a negligible value the two mean updates coincide; the actor keeps
-its own code path so that this equivalence (C6) stays a real check.
+actions, which is the smoothed Bellman regression at zero covariance.  The
+actor ascends the critic's action gradient at the deterministic action.
+With the policy covariance of the smoothed trainer frozen at a negligible
+value the two mean updates coincide; the actor keeps its own code path so
+that this equivalence (C6) stays a real check.
 """
 
 from __future__ import annotations
@@ -49,8 +49,8 @@ def ddpg_critic_update(
     cfg: TrainerConfig,
     opt: AdamState,
 ) -> float:
-    """The shared Bellman step on the stored actions with unit weight; returns the pre-step loss."""
-    return bellman_step(critic, critic_target, actor_target, batch, batch.A, 1.0, cfg, opt)
+    """The shared Bellman step on the stored actions; returns the pre-step loss."""
+    return bellman_step(critic, critic_target, actor_target, batch, batch.A, cfg, opt)
 
 
 def actor_ascent_direction(actor: DerivNet, critic: DerivNet, states) -> np.ndarray:
@@ -95,20 +95,22 @@ class DdpgTrainer(Trainer):
         return total
 
     def _act(self, obs):
-        return self.actor.forward(obs) + self.noise.step(self.rngs["act"]), None
+        return self.actor.forward(obs) + self.noise.step(self.rngs["act"])
 
     def _update(self, step: int) -> float | None:
         cfg, rngs = self.cfg, self.rngs
         td = None
         if len(self.buffer) >= cfg.batch_size:
-            if step > cfg.warmup_steps:
+            actor_moves = step > cfg.warmup_steps
+            if actor_moves:
                 batch = self.buffer.sample(cfg.batch_size, rngs["replay"])
                 ddpg_actor_update(self.actor, self.critic, batch, cfg, self.opt_actor)
             batch = self.buffer.sample(cfg.batch_size, rngs["replay"])
             td = ddpg_critic_update(
                 self.critic, self.critic_target, self.actor_target, batch, cfg, self.opt_critic
             )
-            polyak_update(self.actor_target.params, self.actor.params, cfg.tau)
+            if actor_moves:
+                polyak_update(self.actor_target.params, self.actor.params, cfg.tau)
         if step % cfg.eval_interval == 0:
             self.eval_returns.append((step, self._eval_episode()))
         return td

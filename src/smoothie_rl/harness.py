@@ -130,14 +130,12 @@ def _parse_optional_float(raw: str) -> float | None:
 
 
 # Parser for each declared field type, with what it accepts for error
-# messages.  Keywords match in any case: true, false, none, and the words a
-# str field takes (phi_optimizer's adam and sgd).
+# messages.  The keywords true, false and none match in any case.
 _PARSERS = {
     bool: (_parse_bool, "true or false"),
     int: (int, "an integer"),
     float: (float, "a number"),
     float | None: (_parse_optional_float, "a number or none"),
-    str: (str.lower, "a word"),
     tuple[int, ...]: (_parse_ints, "comma-separated integers"),
 }
 

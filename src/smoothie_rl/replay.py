@@ -19,14 +19,12 @@ class Transition:
     reward: float
     next_state: np.ndarray
     done: bool
-    behavior_log_density: float | None = None
 
 
 class Batch(NamedTuple):
     """Columns of a transition batch, one row per transition.
 
-    ``D`` holds 1.0 for terminal rows and ``logq`` holds NaN where no
-    behavior log density was stored.  The batch size is ``S.shape[0]``.
+    ``D`` holds 1.0 for terminal rows.  The batch size is ``S.shape[0]``.
     """
 
     S: np.ndarray
@@ -34,14 +32,15 @@ class Batch(NamedTuple):
     R: np.ndarray
     S2: np.ndarray
     D: np.ndarray
-    logq: np.ndarray
 
 
 class ReplayBuffer:
     """Fixed-capacity ring of column arrays; oldest transitions are evicted first.
 
     The columns are allocated on the first push, shaped after its state and
-    action.
+    action, and left unfilled: only slots a push has written are read, and
+    zero-filling would touch every page of a column that reuses freed heap
+    memory, though a short run writes only a small part of it.
     """
 
     def __init__(self, capacity: int = 100_000):
@@ -61,12 +60,11 @@ class ReplayBuffer:
         if cols is None:
             cap = self.capacity
             cols = self._cols = Batch(
-                S=np.zeros((cap,) + np.shape(t.state)),
-                A=np.zeros((cap,) + np.shape(t.action)),
-                R=np.zeros(cap),
-                S2=np.zeros((cap,) + np.shape(t.next_state)),
-                D=np.zeros(cap),
-                logq=np.zeros(cap),
+                S=np.empty((cap,) + np.shape(t.state)),
+                A=np.empty((cap,) + np.shape(t.action)),
+                R=np.empty(cap),
+                S2=np.empty((cap,) + np.shape(t.next_state)),
+                D=np.empty(cap),
             )
         for col, value in ((cols.S, t.state), (cols.A, t.action), (cols.S2, t.next_state)):
             if np.shape(value) != col.shape[1:]:
@@ -77,7 +75,6 @@ class ReplayBuffer:
         cols.R[i] = t.reward
         cols.S2[i] = t.next_state
         cols.D[i] = 1.0 if t.done else 0.0
-        cols.logq[i] = t.behavior_log_density if t.behavior_log_density is not None else np.nan
         self._cursor = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
         self.inserted += 1
@@ -86,7 +83,7 @@ class ReplayBuffer:
         """The held transitions at slot indices ``idx`` (each below ``len(self)``)."""
         cols = self._cols
         return Batch(cols.S.take(idx, axis=0), cols.A.take(idx, axis=0), cols.R[idx],
-                     cols.S2.take(idx, axis=0), cols.D[idx], cols.logq[idx])
+                     cols.S2.take(idx, axis=0), cols.D[idx])
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
         """Uniform sampling with replacement."""

@@ -2,11 +2,11 @@
 
 The critic is trained toward a smoothed Bellman target using phantom
 actions resampled around the stored ones.  Its step, ``bellman_step``, is
-shared with the DDPG baseline, which takes it on the stored actions with
-unit weight: the smoothed regression at zero covariance.  The policy mean
-ascends the critic's action gradient evaluated at the mean, and the policy
-covariance ascends half the critic's action Hessian, which equals the
-covariance gradient of the smoothed value.  An optional KL penalty with
+shared with the DDPG baseline, which takes it on the stored actions: the
+smoothed regression at zero covariance.  The policy mean ascends the
+critic's action gradient evaluated at the mean, and the policy covariance
+ascends half the critic's action Hessian, which equals the covariance
+gradient of the smoothed value.  An optional KL penalty with
 coefficient ``kl_coeff`` pulls each update toward the slowly moving target
 policy.  The collection loop, ``Trainer.train``, is shared with the DDPG
 baseline.
@@ -34,8 +34,6 @@ from .deriv_net import (
 from .gauss_math import kl_terms
 from .replay import Batch, ReplayBuffer, Transition, phantom_actions
 
-LOG_2PI = float(np.log(2.0 * np.pi))
-
 # Variance clamp, wide enough that it never binds in ordinary runs.
 VAR_MIN = 1e-8
 VAR_MAX = 1e4
@@ -51,7 +49,6 @@ CONFIG_RANGES = {
     "tau": (lambda v: 0.0 < v <= 1.0, "must lie in (0, 1]"),
     "actor_lr": (lambda v: v > 0.0, "must be positive"),
     "phi_lr": (lambda v: v is None or v > 0.0, "must be positive or none"),
-    "phi_optimizer": (lambda v: v in ("adam", "sgd"), "must be adam or sgd"),
     "critic_lr": (lambda v: v > 0.0, "must be positive"),
     "reward_scale": (lambda v: v > 0.0, "must be positive"),
     "huber_clip": (lambda v: v > 0.0, "must be positive"),
@@ -82,7 +79,6 @@ class TrainerConfig:
 
     actor_lr: float = 1e-4
     phi_lr: float | None = None  # log-variance step size; defaults to actor_lr
-    phi_optimizer: str = "adam"  # "adam" or "sgd"; plain ascent keeps the Hessian's magnitude
     critic_lr: float = 1e-3
     gamma: float = 0.995
     tau: float = 0.01
@@ -100,7 +96,6 @@ class TrainerConfig:
     eval_interval: int = 1000
     ou_damping: float = 3.162e-4
     ou_stddev: float = 0.0316
-    track_behavior_density: bool = False
     freeze_sigma: bool = False
     mu_init: float | None = None
     wallclock: bool = False
@@ -180,13 +175,10 @@ class SmoothiePolicy:
     def target_mean(self, states) -> np.ndarray:
         return self.target_mean_net.forward(states)
 
-    def act(self, state, rng: np.random.Generator):
-        """Sample an action; returns (action, log density under the policy)."""
+    def act(self, state, rng: np.random.Generator) -> np.ndarray:
+        """Sample an action from the policy at ``state``."""
         mu = self.mean_net.forward(state)
-        std = np.exp(0.5 * self.log_var)
-        a = mu + std * rng.standard_normal(self.action_dim)
-        logp = float(-0.5 * np.sum(LOG_2PI + self.log_var + (a - mu) ** 2 / self.variance))
-        return a, logp
+        return mu + np.exp(0.5 * self.log_var) * rng.standard_normal(self.action_dim)
 
     def clamp_variance(self) -> None:
         self.log_var = np.clip(self.log_var, np.log(VAR_MIN), np.log(VAR_MAX))
@@ -221,48 +213,29 @@ def critic_targets(critic_target: DerivNet, target_actor: DerivNet, batch: Batch
     return batch.R + cfg.gamma * (1.0 - batch.D) * q2
 
 
-def _importance_weights(logq, cfg: TrainerConfig) -> np.ndarray | float:
-    """Per-sample loss weights correcting for the replay action distribution.
-
-    The phantom sampling itself supplies the Gaussian kernel around the
-    stored action, so the implemented weight is 1/q, which restores the
-    smoothed Bellman fixed point for any full-support behavior density.
-    Weights are normalized to mean one per batch; the minimizer is invariant
-    to the overall scale and normalization keeps step sizes comparable.
-    The default is the scalar weight 1.0, treating the buffer as near-uniform.
-    """
-    if not cfg.track_behavior_density:
-        return 1.0
-    if np.any(np.isnan(logq)):
-        raise ValueError("track_behavior_density set but stored log densities are missing")
-    w = np.exp(np.min(logq) - logq)
-    return w * (logq.shape[0] / np.sum(w))
-
-
 def bellman_step(
     critic: DerivNet,
     critic_target: DerivNet,
     target_actor: DerivNet,
     batch: Batch,
     actions: np.ndarray,
-    weights: np.ndarray | float,
     cfg: TrainerConfig,
     opt: AdamState,
 ) -> float:
-    """One Adam step on the weighted Huber regression of Q(s, actions) on the
-    Bellman targets; returns the pre-step loss.
+    """One Adam step on the Huber regression of Q(s, actions) on the Bellman
+    targets; returns the pre-step loss.
 
     Both trainers' critics step here: the smoothed trainer at phantom
-    actions with importance weights, DDPG at the stored actions with weight
-    1.0 (the smoothed regression at zero covariance).
+    actions, DDPG at the stored actions (the smoothed regression at zero
+    covariance).
     """
     y = critic_targets(critic_target, target_actor, batch, cfg)
     q, vjp = critic.param_vjp(batch.S, actions)
     hval, hder = huber(q[:, 0] - y, cfg.huber_clip)
-    loss = float(np.mean(weights * hval))
+    loss = float(np.mean(hval))
     if not np.isfinite(loss):
         raise DivergenceError("non-finite critic loss")
-    grad = vjp((weights * hder / batch.S.shape[0])[:, None])
+    grad = vjp((hder / batch.S.shape[0])[:, None])
     adam_step(critic.params, clip_global_norm(grad, cfg.q_grad_clip), cfg.critic_lr, opt)
     return loss
 
@@ -278,8 +251,7 @@ def critic_update(
 ) -> float:
     """One step on the phantom-action Bellman loss; returns the pre-step loss."""
     phantoms = phantom_actions(batch, policy.variance, rng)
-    weights = _importance_weights(batch.logq, cfg)
-    return bellman_step(critic, critic_target, policy.target_mean_net, batch, phantoms, weights, cfg, opt)
+    return bellman_step(critic, critic_target, policy.target_mean_net, batch, phantoms, cfg, opt)
 
 
 def policy_ascent_directions(
@@ -334,10 +306,7 @@ def policy_update(
     adam_step(policy.mean_net.params, -dir_theta, cfg.actor_lr, opt_theta)
     if not cfg.freeze_sigma:
         phi_lr = cfg.actor_lr if cfg.phi_lr is None else cfg.phi_lr
-        if cfg.phi_optimizer == "sgd":
-            policy.log_var = policy.log_var + phi_lr * dir_phi
-        else:
-            adam_step(policy.log_var, -dir_phi, phi_lr, opt_phi)
+        adam_step(policy.log_var, -dir_phi, phi_lr, opt_phi)
         policy.clamp_variance()
     return kl_mean
 
@@ -379,8 +348,8 @@ class Trainer:
         self.episode_returns: list[float] = []
         self.log = TrainLog()
 
-    def _act(self, obs):
-        """The exploratory action at ``obs`` and its log density to store, or None."""
+    def _act(self, obs) -> np.ndarray:
+        """The exploratory action at ``obs``."""
         raise NotImplementedError
 
     def _update(self, step: int) -> float | None:
@@ -405,7 +374,7 @@ class Trainer:
         t0 = time.perf_counter()
         try:
             for step in range(1, cfg.total_steps + 1):
-                action, logp = self._act(obs)
+                action = self._act(obs)
                 sr = env.step(action, rngs["env"])
                 self.buffer.push(
                     Transition(
@@ -414,7 +383,6 @@ class Trainer:
                         reward=cfg.reward_scale * sr.reward,
                         next_state=sr.next_observation,
                         done=sr.done,
-                        behavior_log_density=logp,
                     )
                 )
                 ep_return += sr.reward
@@ -456,14 +424,14 @@ class SmoothieTrainer(Trainer):
         self.last_kl = 0.0
 
     def _act(self, obs):
-        action, logp = self.policy.act(obs, self.rngs["act"])
-        return action, (logp if self.cfg.track_behavior_density else None)
+        return self.policy.act(obs, self.rngs["act"])
 
     def _update(self, step: int) -> float | None:
         cfg, rngs = self.cfg, self.rngs
         if len(self.buffer) < cfg.batch_size:
             return None
-        if step > cfg.warmup_steps:
+        actor_moves = step > cfg.warmup_steps
+        if actor_moves:
             batch = self.buffer.sample(cfg.batch_size, rngs["replay"])
             # The KL feeds only the log row, so without a penalty it is
             # computed only on the steps that write one.
@@ -477,7 +445,9 @@ class SmoothieTrainer(Trainer):
         td = critic_update(
             self.critic, self.critic_target, self.policy, batch, cfg, self.opt_critic, rngs["phantom"]
         )
-        self.policy.polyak_targets(cfg.tau)
+        # Averaging toward a frozen policy would only move the targets by rounding.
+        if actor_moves:
+            self.policy.polyak_targets(cfg.tau)
         return td
 
     def _record_stats(self):

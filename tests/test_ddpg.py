@@ -194,6 +194,8 @@ def test_ddpg_warmup_trains_critic_only():
     critic0 = trainer.critic.get_params().copy()
     trainer.train()
     np.testing.assert_array_equal(trainer.actor.get_params(), actor0)
+    # actor_target averages only toward an actor that moved, so it stays an exact copy.
+    np.testing.assert_array_equal(trainer.actor_target.get_params(), actor0)
     assert np.any(trainer.critic.get_params() != critic0)
 
 

@@ -99,14 +99,13 @@ def test_sampling_deterministic_given_rng():
 
 def test_push_gather_columns():
     batch = [
-        Transition(np.array([1.0, 2.0]), np.array([0.1]), 3.0, np.array([4.0, 5.0]), True, -0.5),
-        Transition(np.array([6.0, 7.0]), np.array([0.2]), 8.0, np.array([9.0, 10.0]), False, None),
+        Transition(np.array([1.0, 2.0]), np.array([0.1]), 3.0, np.array([4.0, 5.0]), True),
+        Transition(np.array([6.0, 7.0]), np.array([0.2]), 8.0, np.array([9.0, 10.0]), False),
     ]
-    S, A, R, S2, D, logq = _as_batch(batch)
+    S, A, R, S2, D = _as_batch(batch)
     assert S.shape == (2, 2) and A.shape == (2, 1) and S2.shape == (2, 2)
     assert np.array_equal(R, np.array([3.0, 8.0]))
     assert np.array_equal(D, np.array([1.0, 0.0]))
-    assert logq[0] == -0.5 and np.isnan(logq[1])
 
 
 def test_phantom_actions_center_and_spread():

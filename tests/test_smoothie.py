@@ -8,7 +8,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.stats import norm
 
 import smoothie_rl
 from smoothie_rl import harness
@@ -22,7 +21,6 @@ from smoothie_rl.smoothie import (
     SmoothieTrainer,
     TrainLog,
     TrainerConfig,
-    _importance_weights,
     critic_targets,
     critic_update,
     policy_ascent_directions,
@@ -71,7 +69,6 @@ def _batch(rng, n=16, state_dim=1, action_dim=1, done=False):
         {"reward_scale": 0.0},
         {"huber_clip": 0.0},
         {"phi_lr": 0.0},
-        {"phi_optimizer": "rmsprop"},
         {"batch_size": 0},
         {"total_steps": 0},
         {"buffer_capacity": 0},
@@ -153,14 +150,12 @@ def test_log_format_and_columns():
 # -------------------------------------------------------------------- policy
 
 
-def test_act_log_density_matches_gaussian():
-    policy = _policy(seed=1, phi_init=-0.7)
-    rng = np.random.default_rng(5)
-    state = np.array([0.3])
-    a, logp = policy.act(state, rng)
-    mu = policy.mean_net.forward(state)
-    ref = float(np.sum(norm.logpdf(a, loc=mu, scale=np.exp(0.5 * policy.log_var))))
-    assert logp == pytest.approx(ref, abs=1e-12)
+def test_act_is_mean_plus_sigma_times_normal_draw():
+    policy = _policy(seed=1, phi_init=-0.7, state_dim=2, action_dim=3)
+    state = np.array([0.3, -0.4])
+    a = policy.act(state, np.random.default_rng(5))
+    z = np.random.default_rng(5).standard_normal(3)
+    np.testing.assert_array_equal(a, policy.mean_net.forward(state) + policy.sigma * z)
 
 
 def test_sigma_variance_consistency():
@@ -214,7 +209,7 @@ def test_critic_targets_masking_and_discount():
     batch = _batch(rng, n=6)
     batch.D[[2, 5]] = 1.0
     y = critic_targets(critic_t, policy.target_mean_net, batch, cfg)
-    _, _, R, S2, D, _ = batch
+    _, _, R, S2, D = batch
     mu2 = policy.target_mean(S2)
     q2 = critic_t.forward(S2, mu2)[:, 0]
     np.testing.assert_allclose(y, R + 0.9 * (1.0 - D) * q2, atol=1e-14)
@@ -235,37 +230,6 @@ def test_critic_targets_all_terminal_batch_is_the_reward():
     critic_t.forward = _no_forward
     y = critic_targets(critic_t, policy.target_mean_net, batch, TrainerConfig(gamma=0.9))
     np.testing.assert_array_equal(y, batch.R)
-
-
-# -------------------------------------------------------- importance weights
-
-
-def test_weights_default_to_ones():
-    logq = np.array([0.0, -1.0, np.nan])
-    w = _importance_weights(logq, TrainerConfig())
-    np.testing.assert_array_equal(w, np.ones(3))
-
-
-def test_weights_require_densities_when_tracking():
-    cfg = TrainerConfig(track_behavior_density=True)
-    with pytest.raises(ValueError):
-        _importance_weights(np.array([0.0, np.nan]), cfg)
-
-
-def test_weights_uniform_density_gives_ones():
-    cfg = TrainerConfig(track_behavior_density=True)
-    w = _importance_weights(np.full(5, -2.3), cfg)
-    np.testing.assert_allclose(w, np.ones(5), atol=1e-14)
-
-
-def test_weights_mean_one_and_monotone():
-    cfg = TrainerConfig(track_behavior_density=True)
-    logq = np.array([-1.0, -2.0, -3.0])
-    w = _importance_weights(logq, cfg)
-    assert np.mean(w) == pytest.approx(1.0, abs=1e-14)
-    # rarer actions (lower log density) weigh more
-    assert w[0] < w[1] < w[2]
-    np.testing.assert_allclose(w[2] / w[0], np.exp(2.0), rtol=1e-12)
 
 
 # --------------------------------------------------------------- critic step
@@ -410,21 +374,6 @@ def test_post_update_kl_nonincreasing_in_coefficient():
     assert kls[2] <= kls[1] + 1e-9
 
 
-def test_sgd_phi_step_is_plain_ascent():
-    rng = np.random.default_rng(29)
-    policy = _policy(seed=29)
-    critic = critic_net(1, 1, (8, 8), rng)
-    batch = _batch(rng, n=16)
-    S = batch.S
-    snapshot = copy.deepcopy(policy)
-    cfg = TrainerConfig(phi_optimizer="sgd", phi_lr=0.1)
-    _, dir_phi, _, _, _ = policy_ascent_directions(snapshot, critic, S, cfg)
-    old = policy.log_var.copy()
-    policy_update(policy, critic, batch, cfg,
-                  AdamState.for_params(policy.mean_net.n_params), AdamState.for_params(1))
-    np.testing.assert_allclose(policy.log_var, old + 0.1 * dir_phi, atol=1e-14)
-
-
 def test_freeze_sigma_keeps_log_var():
     rng = np.random.default_rng(31)
     policy = _policy(seed=31)
@@ -463,6 +412,9 @@ def test_warmup_trains_critic_only():
     trainer.train()
     np.testing.assert_array_equal(trainer.policy.mean_net.get_params(), theta0)
     np.testing.assert_array_equal(trainer.policy.log_var, phi0)
+    # The targets average only toward a policy that moved, so they stay exact copies.
+    np.testing.assert_array_equal(trainer.policy.target_mean_net.get_params(), theta0)
+    np.testing.assert_array_equal(trainer.policy.target_log_var, phi0)
     assert np.any(trainer.critic.get_params() != critic0)
 
 
