@@ -299,14 +299,6 @@ class DerivNet:
 
         return out, vjp
 
-    def param_gradient(self, state, action, cotangent) -> np.ndarray:
-        """Gradient of sum_b cotangent_b . output_b with respect to the flat parameters."""
-        cot = np.asarray(cotangent, dtype=float)
-        if np.ndim(state) == 1:
-            cot = cot[None, :] if cot.ndim == 1 else cot.reshape(1, -1)
-        _, vjp = self.param_vjp(state, action)
-        return vjp(cot)
-
 
 # ------------------------------------------------------------------ builders
 

@@ -24,7 +24,7 @@ from .smoothie import CONFIG_RANGES, SmoothieTrainer, TrainerConfig, TrainLog, c
 ALGORITHMS = ("smoothie", "smoothie_kl", "ddpg")
 ENVIRONMENTS = ("bumps", "pointmass")
 
-SUMMARY_COLUMNS = ("seed", "final_return", "best_return", "final_sigma_mean", "ms", "status")
+SUMMARY_COLUMNS = ("seed", "final_return", "best_return", "final_sigma_mean", "status")
 
 
 class ConfigError(ValueError):
@@ -48,6 +48,8 @@ class RunConfig:
             )
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if not self.out_dir:
+            raise ConfigError("out_dir must not be empty")
         self.trainer.validate()
 
 
@@ -264,7 +266,6 @@ class SeedOutcome:
     final_return: float
     best_return: float
     final_sigma_mean: float
-    ms: float
 
 
 @dataclass
@@ -293,7 +294,6 @@ def _run_one_seed(cfg: RunConfig, seed: int) -> SeedOutcome:
         status = "diverged"
     returns = log.column("return_mean") if log.rows else [float("nan")]
     sigma = log.column("sigma_mean") if log.rows else [float("nan")]
-    ms = log.column("ms")[-1] if log.rows else 0.0
     return SeedOutcome(
         seed=seed,
         status=status,
@@ -302,7 +302,6 @@ def _run_one_seed(cfg: RunConfig, seed: int) -> SeedOutcome:
         final_return=returns[-1],
         best_return=max(returns),
         final_sigma_mean=sigma[-1],
-        ms=ms,
     )
 
 

@@ -50,7 +50,6 @@ class ReplayBuffer:
         self._cols: Batch | None = None
         self._size = 0
         self._cursor = 0
-        self.inserted = 0
 
     def __len__(self) -> int:
         return self._size
@@ -77,7 +76,6 @@ class ReplayBuffer:
         cols.D[i] = 1.0 if t.done else 0.0
         self._cursor = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
-        self.inserted += 1
 
     def gather(self, idx) -> Batch:
         """The held transitions at slot indices ``idx`` (each below ``len(self)``)."""

@@ -15,7 +15,6 @@ baseline.
 from __future__ import annotations
 
 import io
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,7 @@ from .replay import Batch, ReplayBuffer, Transition, phantom_actions
 VAR_MIN = 1e-8
 VAR_MAX = 1e4
 
-TRAIN_LOG_COLUMNS = ("step", "return_mean", "sigma_min", "sigma_mean", "sigma_max", "kl", "td_loss", "ms")
+TRAIN_LOG_COLUMNS = ("step", "return_mean", "sigma_min", "sigma_mean", "sigma_max", "kl", "td_loss")
 
 
 # Allowed range of each bounded TrainerConfig field: (test, what it must be).
@@ -98,7 +97,6 @@ class TrainerConfig:
     ou_stddev: float = 0.0316
     freeze_sigma: bool = False
     mu_init: float | None = None
-    wallclock: bool = False
     seed: int = 0
 
     def validate(self) -> None:
@@ -114,20 +112,27 @@ def csv_row(values) -> str:
 
 
 class TrainLog:
-    """Recorded training telemetry with deterministic CSV formatting."""
+    """Recorded training telemetry with deterministic CSV formatting.
+
+    ``columns`` is the only declaration of a row; ``append`` checks each row
+    against it and for finiteness.
+    """
 
     columns = TRAIN_LOG_COLUMNS
 
     def __init__(self):
         self.rows: list[tuple] = []
 
-    def append(self, step, return_mean, sigma_min, sigma_mean, sigma_max, kl, td_loss, ms) -> None:
+    def append(self, step, *values) -> None:
+        """Add the row at ``step``: one value per column after ``step``, in order."""
+        width = len(self.columns) - 1
+        if len(values) != width:
+            raise ValueError(f"log row takes {width} values after step, got {len(values)}")
         if self.rows and step <= self.rows[-1][0]:
             raise ValueError("steps must be strictly increasing")
-        row = (int(step), float(return_mean), float(sigma_min), float(sigma_mean),
-               float(sigma_max), float(kl), float(td_loss), float(ms))
-        if not all(np.isfinite(v) for v in row):
-            raise ValueError("non-finite value in log row")
+        row = (int(step), *(float(v) for v in values))
+        if not all(np.isfinite(row)):
+            raise DivergenceError(f"non-finite value in log row at step {step}")
         self.rows.append(row)
 
     def column(self, name: str) -> list[float]:
@@ -345,7 +350,6 @@ class Trainer:
         self.critic_target = self.critic.clone()
         self.buffer = ReplayBuffer(cfg.buffer_capacity)
         self.opt_critic = AdamState.for_params(self.critic.n_params)
-        self.episode_returns: list[float] = []
         self.log = TrainLog()
 
     def _act(self, obs) -> np.ndarray:
@@ -371,7 +375,6 @@ class Trainer:
         window: list[float] = []
         last_return = 0.0
         last_td = 0.0
-        t0 = time.perf_counter()
         try:
             for step in range(1, cfg.total_steps + 1):
                 action = self._act(obs)
@@ -388,7 +391,6 @@ class Trainer:
                 ep_return += sr.reward
                 if sr.done:
                     window.append(ep_return)
-                    self.episode_returns.append(ep_return)
                     ep_return = 0.0
                     obs = env.reset(rngs["env"])
                 else:
@@ -401,11 +403,7 @@ class Trainer:
                     if window:
                         last_return = float(np.mean(window))
                         window.clear()
-                    ms = (time.perf_counter() - t0) * 1e3 if cfg.wallclock else 0.0
-                    row = (last_return, *self._record_stats(), last_td, ms)
-                    if not all(np.isfinite(v) for v in row):
-                        raise DivergenceError(f"non-finite value in log row at step {step}")
-                    self.log.append(step, *row)
+                    self.log.append(step, last_return, *self._record_stats(), last_td)
         except DivergenceError as err:
             err.partial_log = self.log  # type: ignore[attr-defined]
             raise

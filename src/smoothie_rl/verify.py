@@ -274,13 +274,9 @@ def compatible_critic_check(
     worst_h = 0.0
     h = 0.1  # central differences are exact for quadratics at any step
     for s in states:
-        mu = mean_net.forward(s)
-        jac_t_w = np.zeros(da)
-        for i in range(da):
-            cot = np.zeros(da)
-            cot[i] = 1.0
-            jac_row = mean_net.param_gradient(s, None, cot)
-            jac_t_w[i] = float(np.dot(jac_row, w_mean))
+        out, vjp = mean_net.param_vjp(s, None)
+        mu = out[0]
+        jac_t_w = np.array([float(np.dot(vjp(e[None, :]), w_mean)) for e in np.eye(da)])
 
         def qc(a):
             d = a - mu
@@ -327,10 +323,8 @@ def compatible_stationarity_check(
     da = mean_net.out_dim
     rows = []
     for s in states:
-        for i in range(da):
-            cot = np.zeros(da)
-            cot[i] = 1.0
-            rows.append(mean_net.param_gradient(s, None, cot))
+        _, vjp = mean_net.param_vjp(s, None)
+        rows.extend(vjp(e[None, :]) for e in np.eye(da))
     X = np.stack(rows)  # (n_states * da, n_params)
     y = true_grads.reshape(-1)
     w, *_ = np.linalg.lstsq(X, y, rcond=None)

@@ -168,13 +168,13 @@ def test_deep_critic_batch_rows_match_single_calls():
         assert np.allclose(trip.hessian[k], tk.hessian, atol=1e-14)
 
 
-def test_param_gradient_vs_finite_differences():
+def test_param_vjp_vs_finite_differences():
     rng = np.random.default_rng(4)
     net = critic_net(2, 1, (6, 6), rng)
     s = rng.uniform(-1, 1, size=2)
     a = rng.uniform(-1, 1, size=1)
-    cot = np.array([1.0])
-    grad = net.param_gradient(s, a, cot)
+    _, vjp = net.param_vjp(s, a)
+    grad = vjp(np.array([[1.0]]))
     flat = net.get_params()
     h = 1e-6
     for idx in rng.choice(net.n_params, size=25, replace=False):
@@ -189,17 +189,17 @@ def test_param_gradient_vs_finite_differences():
         assert grad[idx] == pytest.approx((up - dn) / (2 * h), rel=2e-4, abs=1e-8)
 
 
-def test_param_gradient_batch_sums_rows():
+def test_param_vjp_batch_sums_rows():
     rng = np.random.default_rng(5)
     net = actor_net(3, 2, (8, 8), rng)
     S = rng.uniform(-1, 1, size=(4, 3))
     cot = rng.normal(size=(4, 2))
-    total = net.param_gradient(S, None, cot)
-    rows = sum(net.param_gradient(S[k], None, cot[k]) for k in range(4))
+    total = net.param_vjp(S, None)[1](cot)
+    rows = sum(net.param_vjp(S[k], None)[1](cot[k : k + 1]) for k in range(4))
     assert np.allclose(total, rows, atol=1e-12)
 
 
-def test_actor_relu_masks_param_gradient():
+def test_actor_relu_masks_param_vjp():
     # a relu unit that is off must contribute zero gradient to its weights
     w1 = np.array([[1.0], [-1.0]])
     b1 = np.zeros(2)
@@ -209,7 +209,8 @@ def test_actor_relu_masks_param_gradient():
         1, 0,
         [Layer(w1, b1, "relu"), Layer(w2, b2, "identity")],
     )
-    g = net.param_gradient(np.array([2.0]), None, np.array([1.0]))
+    _, vjp = net.param_vjp(np.array([2.0]), None)
+    g = vjp(np.array([[1.0]]))
     # layout: w1 (2 values), b1 (2), w2 (2), b2 (1); second w1 row is off
     assert g[0] == pytest.approx(2.0)
     assert g[1] == 0.0

@@ -88,6 +88,7 @@ def test_parse_comments_blanks_and_overrides():
         (MINIMAL + "hidden = 64\n", "two positive widths"),
         (MINIMAL + "phi_optimizer = adam\n", "line 3: unknown key"),
         (MINIMAL + "track_behavior_density = false\n", "line 3: unknown key"),
+        (MINIMAL + "wallclock = true\n", "line 3: unknown key"),
         (MINIMAL + "seeds = \n", "at least one"),
         (MINIMAL + "out_dir = \n", "empty"),
         (MINIMAL + "phi_lr = -1\n", "positive"),
@@ -200,7 +201,7 @@ def test_run_writes_artifacts(tmp_path):
     for p in result.csv_paths:
         with open(p) as fh:
             header = fh.readline().strip()
-        assert header == "step,return_mean,sigma_min,sigma_mean,sigma_max,kl,td_loss,ms"
+        assert header == "step,return_mean,sigma_min,sigma_mean,sigma_max,kl,td_loss"
     with open(result.summary_path) as fh:
         lines = fh.read().strip().split("\n")
     assert lines[0] == ",".join(SUMMARY_COLUMNS)
@@ -228,7 +229,7 @@ class _FakeDivergingTrainer:
         self.log = TrainLog()
 
     def train(self):
-        self.log.append(100, 0.5, 0.3, 0.3, 0.3, 0.0, 0.1, 0.0)
+        self.log.append(100, 0.5, 0.3, 0.3, 0.3, 0.0, 0.1)
         err = DivergenceError("synthetic blowup")
         err.partial_log = self.log
         raise err
@@ -410,6 +411,8 @@ def test_cli_train_bad_seed_and_bad_content(tmp_path):
     assert cli.main(["train", "--config", path]) == cli.EXIT_CONFIG
     good = _write_config(tmp_path, MINIMAL)
     assert cli.main(["train", "--config", good, "--seed", "x,y"]) == cli.EXIT_CONFIG
+    for command in ("train", "search"):
+        assert cli.main([command, "--config", good, "--out", ""]) == cli.EXIT_CONFIG
 
 
 def test_cli_train_divergence_exit(tmp_path, monkeypatch):

@@ -118,31 +118,38 @@ def test_every_config_field_is_read():
 
 def test_log_rejects_nonmonotonic_steps():
     log = TrainLog()
-    log.append(100, 1, 0.5, 0.5, 0.5, 0, 0.1, 0)
+    log.append(100, 1, 0.5, 0.5, 0.5, 0, 0.1)
     with pytest.raises(ValueError):
-        log.append(100, 1, 0.5, 0.5, 0.5, 0, 0.1, 0)
+        log.append(100, 1, 0.5, 0.5, 0.5, 0, 0.1)
     with pytest.raises(ValueError):
-        log.append(50, 1, 0.5, 0.5, 0.5, 0, 0.1, 0)
+        log.append(50, 1, 0.5, 0.5, 0.5, 0, 0.1)
+    # one value per column after step, no fewer and no more
+    with pytest.raises(ValueError, match="takes 6 values"):
+        log.append(200, 1, 0.5, 0.5, 0.5, 0)
+    with pytest.raises(ValueError, match="takes 6 values"):
+        log.append(200, 1, 0.5, 0.5, 0.5, 0, 0.1, 0)
+    assert len(log.rows) == 1
 
 
 def test_log_rejects_nonfinite():
     log = TrainLog()
-    with pytest.raises(ValueError):
-        log.append(1, np.nan, 0.5, 0.5, 0.5, 0, 0.1, 0)
-    with pytest.raises(ValueError):
-        log.append(1, 1.0, 0.5, 0.5, 0.5, 0, np.inf, 0)
+    with pytest.raises(DivergenceError, match="at step 1$"):
+        log.append(1, np.nan, 0.5, 0.5, 0.5, 0, 0.1)
+    with pytest.raises(DivergenceError, match="at step 1$"):
+        log.append(1, 1.0, 0.5, 0.5, 0.5, 0, np.inf)
+    assert log.rows == []
 
 
 def test_log_format_and_columns():
     log = TrainLog()
-    log.append(100, 0.123456789123, 0.5, 0.6, 0.7, 0.0, 0.25, 0.0)
-    log.append(200, 1.0, 0.5, 0.6, 0.7, 1e-12, 0.25, 3.5)
+    log.append(100, 0.123456789123, 0.5, 0.6, 0.7, 0.0, 0.25)
+    log.append(200, 1.0, 0.5, 0.6, 0.7, 1e-12, 0.25)
     text = log.to_string()
     lines = text.strip().split("\n")
-    assert lines[0] == "step,return_mean,sigma_min,sigma_mean,sigma_max,kl,td_loss,ms"
+    assert lines[0] == "step,return_mean,sigma_min,sigma_mean,sigma_max,kl,td_loss"
     # %.9g trims trailing zeros and caps significant digits
-    assert lines[1] == "100,0.123456789,0.5,0.6,0.7,0,0.25,0"
-    assert lines[2] == "200,1,0.5,0.6,0.7,1e-12,0.25,3.5"
+    assert lines[1] == "100,0.123456789,0.5,0.6,0.7,0,0.25"
+    assert lines[2] == "200,1,0.5,0.6,0.7,1e-12,0.25"
     assert log.column("sigma_mean") == [0.6, 0.6]
     assert log.column("step") == [100, 200]
 
@@ -463,7 +470,8 @@ def test_bandit_episode_bookkeeping():
     trainer = SmoothieTrainer(BumpsBandit(), cfg)
     log = trainer.train()
     # horizon-one task: every step closes an episode
-    assert len(trainer.episode_returns) == 400
+    assert len(trainer.buffer) == 400
+    assert np.all(trainer.buffer.gather(np.arange(400)).D == 1.0)
     assert len(log.rows) == 4
     smin = np.array(log.column("sigma_min"))
     smean = np.array(log.column("sigma_mean"))
