@@ -24,6 +24,11 @@ dropped from the header and from every row (the log's last field, the
 summary's fifth), or, for `dump_config`, minus its six `wallclock = false`
 lines; a script that applies that transformation to the old output
 reproduces the new bytes exactly.  No value in any row moved.
+
+Each parametrized case carries a fixed id, so that re-capturing a hash does
+not rename the test.  The ids of the log and summary.csv cases keep the
+hashes those cases were first captured with; the hash a case checks is its
+`want`.
 """
 
 import hashlib
@@ -62,12 +67,16 @@ def _trained(algorithm, environment, **overrides):
 @pytest.mark.parametrize(
     "algorithm,environment,overrides,want",
     [
-        ("smoothie", "bumps",
-         dict(total_steps=600, warmup_steps=200, batch_size=32, record_interval=50),
-         "ed0f9bedaeea19f3de7724b8a34e469559d15442"),
-        ("smoothie_kl", "pointmass",
-         dict(total_steps=400, batch_size=32, record_interval=50),
-         "ec6e40f10649fadc4fb66d22fc1a1f24fda8a0c3"),
+        pytest.param(
+            "smoothie", "bumps",
+            dict(total_steps=600, warmup_steps=200, batch_size=32, record_interval=50),
+            "ed0f9bedaeea19f3de7724b8a34e469559d15442",
+            id="smoothie-bumps-overrides0-9bba084b97864ac4ee604f0b3f46a4e92a280db1"),
+        pytest.param(
+            "smoothie_kl", "pointmass",
+            dict(total_steps=400, batch_size=32, record_interval=50),
+            "ec6e40f10649fadc4fb66d22fc1a1f24fda8a0c3",
+            id="smoothie_kl-pointmass-overrides1-93dd8dfb5de79f224d35137e133016dcd0fb12f1"),
     ],
 )
 def test_smoothie_log_golden(algorithm, environment, overrides, want):
@@ -96,8 +105,10 @@ def _tiny_bumps(algorithm, out_dir, seeds):
 
 @pytest.mark.parametrize(
     "algorithm,want",
-    [("smoothie", "b058df6a9320122e094f3edacfb14f9facf493dc"),
-     ("ddpg", "1557fad95f7129c96e81ae7eb51e8742ae23a2dc")],
+    [pytest.param("smoothie", "b058df6a9320122e094f3edacfb14f9facf493dc",
+                  id="smoothie-809d734e141d63f7354b5b3eb45c3438032b510e"),
+     pytest.param("ddpg", "1557fad95f7129c96e81ae7eb51e8742ae23a2dc",
+                  id="ddpg-225d39b321eb61cca7ee2e52d7ad4509fb5b5445")],
 )
 def test_run_summary_golden(tmp_path, algorithm, want):
     result = run(_tiny_bumps(algorithm, tmp_path, (0, 1)))
@@ -107,8 +118,10 @@ def test_run_summary_golden(tmp_path, algorithm, want):
 
 @pytest.mark.parametrize(
     "algorithm,want",
-    [("smoothie", "d42c507e4dfafbceeb947104b33463664ce28d4d"),
-     ("ddpg", "65eb85fb1f3212a0e3f47fb9b52e5696a8b8ee05")],
+    [pytest.param("smoothie", "d42c507e4dfafbceeb947104b33463664ce28d4d",
+                  id="smoothie-d42c507e4dfafbceeb947104b33463664ce28d4d"),
+     pytest.param("ddpg", "65eb85fb1f3212a0e3f47fb9b52e5696a8b8ee05",
+                  id="ddpg-65eb85fb1f3212a0e3f47fb9b52e5696a8b8ee05")],
 )
 def test_search_csv_golden(tmp_path, algorithm, want):
     base = _tiny_bumps(algorithm, tmp_path, (0,))
