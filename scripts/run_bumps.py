@@ -15,7 +15,13 @@ from dataclasses import replace
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from smoothie_rl import cli  # noqa: E402
-from smoothie_rl.harness import ConfigError, default_run_config, parse_seeds, run  # noqa: E402
+from smoothie_rl.harness import (  # noqa: E402
+    ConfigError,
+    default_run_config,
+    parse_algorithms,
+    parse_seeds,
+    run,
+)
 
 
 def main(argv=None) -> int:
@@ -27,6 +33,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         seeds = parse_seeds(args.seeds, "--seeds")
+        algorithms = parse_algorithms(args.algorithms, "--algorithms")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return cli.EXIT_CONFIG
@@ -34,8 +41,7 @@ def main(argv=None) -> int:
     cli.main(["landscape", "--sigma", "1.0", "--out", args.out])
 
     worst_exit = 0
-    for algorithm in args.algorithms.split(","):
-        algorithm = algorithm.strip()
+    for algorithm in algorithms:
         cfg = default_run_config(algorithm, "bumps")
         cfg = replace(cfg, seeds=seeds, out_dir=os.path.join(args.out, algorithm))
         result = run(cfg)

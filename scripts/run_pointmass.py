@@ -3,8 +3,11 @@
 
 Trains the smoothed-critic learner with and without the KL trust-region
 penalty (and optionally the deterministic baseline) across several seeds,
-then prints per-algorithm across-seed statistics of the final evaluation
-return.  The KL variant should show a visibly smaller seed spread.
+then prints per-algorithm across-seed statistics of the final training
+return: the `return_mean` of each seed's last log row, the mean return of the
+exploring training episodes that ended in the last logging window.  No
+separate evaluation is run.  The KL variant should show a visibly smaller
+seed spread.
 """
 
 import argparse
@@ -17,7 +20,13 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from smoothie_rl import cli  # noqa: E402
-from smoothie_rl.harness import ConfigError, default_run_config, parse_seeds, run  # noqa: E402
+from smoothie_rl.harness import (  # noqa: E402
+    ConfigError,
+    default_run_config,
+    parse_algorithms,
+    parse_seeds,
+    run,
+)
 
 
 def main(argv=None) -> int:
@@ -29,14 +38,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         seeds = parse_seeds(args.seeds, "--seeds")
+        algorithms = parse_algorithms(args.algorithms, "--algorithms")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return cli.EXIT_CONFIG
 
     worst_exit = 0
     rows = []
-    for algorithm in args.algorithms.split(","):
-        algorithm = algorithm.strip()
+    for algorithm in algorithms:
         cfg = default_run_config(algorithm, "pointmass")
         cfg = replace(cfg, seeds=seeds, out_dir=os.path.join(args.out, algorithm))
         result = run(cfg)
@@ -49,7 +58,7 @@ def main(argv=None) -> int:
             print(f"  {o.seed:>4}  {o.final_return:>12.2f}  {o.status}")
         print(f"  logs: {result.out_dir}/")
 
-    print("\nacross-seed summary (final evaluation return):")
+    print("\nacross-seed summary (final training return, return_mean of the last log row):")
     print("  algorithm     mean        std")
     for algorithm, finals in rows:
         print(f"  {algorithm:<12}  {np.mean(finals):>8.2f}  {np.std(finals):>9.2f}")

@@ -82,13 +82,18 @@ def _cmd_landscape(args) -> int:
     if args.sigma <= 0.0:
         print("landscape: --sigma must be positive", file=sys.stderr)
         return EXIT_CONFIG
+    if args.points < 1:
+        print("landscape: --points must be at least 1", file=sys.stderr)
+        return EXIT_CONFIG
+    if not args.out:
+        print("landscape: --out must not be empty", file=sys.stderr)
+        return EXIT_CONFIG
     lo, hi = float(env.spec.action_low[0]), float(env.spec.action_high[0])
     grid = np.linspace(lo, hi, args.points)
     raw = env.reward_fn(grid)
     smooth = smoothed_landscape(env.reward_fn, args.sigma, grid)
-    out_dir = args.out or "runs"
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "landscape.csv")
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "landscape.csv")
     with open(path, "w") as fh:
         fh.write(csv_row(("a", "reward", "smoothed")))
         for row in zip(grid, raw, smooth):
@@ -127,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_land = sub.add_parser("landscape", help="emit raw and smoothed reward curves as CSV")
     p_land.add_argument("--sigma", type=float, default=1.0, help="smoothing stddev")
     p_land.add_argument("--points", type=int, default=241, help="grid resolution")
-    p_land.add_argument("--out", help="output directory (default runs/)")
+    p_land.add_argument("--out", default="runs", help="output directory (default runs/)")
     p_land.set_defaults(func=_cmd_landscape)
     return parser
 

@@ -30,15 +30,9 @@ class OuNoise:
         self.stddev = float(stddev)
         self.x = np.zeros(dim)
 
-    def reset(self) -> None:
-        self.x = np.zeros(self.dim)
-
     def step(self, rng: np.random.Generator) -> np.ndarray:
         self.x = self.x - self.damping * self.x + self.stddev * rng.standard_normal(self.dim)
         return self.x.copy()
-
-    def stationary_std(self) -> float:
-        return self.stddev / np.sqrt(self.damping * (2.0 - self.damping))
 
 
 def ddpg_critic_update(

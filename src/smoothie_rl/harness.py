@@ -21,14 +21,56 @@ from .deriv_net import DivergenceError
 from .envs import BumpsBandit, PointMass
 from .smoothie import CONFIG_RANGES, SmoothieTrainer, TrainerConfig, TrainLog, csv_row
 
-ALGORITHMS = ("smoothie", "smoothie_kl", "ddpg")
-ENVIRONMENTS = ("bumps", "pointmass")
+TRAINERS = {"smoothie": SmoothieTrainer, "smoothie_kl": SmoothieTrainer, "ddpg": DdpgTrainer}
+
+_DDPG_NOISE = dict(actor_lr=1e-4, ou_damping=0.15, ou_stddev=0.2)
+_SMOOTHIE_BUMPS = dict(
+    total_steps=12000, warmup_steps=6000, actor_lr=1.5e-4, phi_lr=1.5e-3, phi_init=0.0
+)
+
+# The tuned desk-scale baseline of each environment: its constructor, the
+# TrainerConfig overrides every algorithm shares, and each algorithm's own
+# overrides on top of those (an algorithm left out takes the shared ones).
+ENV_TABLE = {
+    # The policy starts at the worse mode with unit sigma (phi_init 0).  A
+    # critic-only warmup lets the value network resolve the smoothed
+    # landscape before the mean moves; the mean then climbs the smoothed ramp
+    # to the better mode while sigma grows in the convex mid-region and
+    # collapses once the mean parks on the optimum.  Unit rewards
+    # (reward_scale 1) keep the curvature signal above the critic's noise
+    # floor at this scale.
+    "bumps": (
+        BumpsBandit,
+        dict(hidden=(32, 32), batch_size=64, critic_lr=1e-3, mu_init=-1.0, reward_scale=1.0),
+        {
+            "smoothie": _SMOOTHIE_BUMPS,
+            "smoothie_kl": {**_SMOOTHIE_BUMPS, "kl_coeff": 1e-2},
+            "ddpg": dict(total_steps=6000, **_DDPG_NOISE),
+        },
+    ),
+    "pointmass": (
+        PointMass,
+        dict(hidden=(32, 32), batch_size=128, total_steps=6000, critic_lr=1e-3, actor_lr=1e-3,
+             gamma=0.99),
+        {"smoothie_kl": dict(kl_coeff=3e-2), "ddpg": _DDPG_NOISE},
+    ),
+}
+
+ALGORITHMS = tuple(TRAINERS)
+ENVIRONMENTS = tuple(ENV_TABLE)
 
 SUMMARY_COLUMNS = ("seed", "final_return", "best_return", "final_sigma_mean", "status")
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _known(kind: str, name: str, where: str = "") -> None:
+    """Reject an algorithm or environment name that no table row declares."""
+    names = {"algorithm": ALGORITHMS, "environment": ENVIRONMENTS}[kind]
+    if name not in names:
+        raise ConfigError(f"{where}unknown {kind} {name!r}, expected one of {names}")
 
 
 @dataclass
@@ -40,12 +82,8 @@ class RunConfig:
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
 
     def validate(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ConfigError(f"unknown algorithm {self.algorithm!r}, expected one of {ALGORITHMS}")
-        if self.environment not in ENVIRONMENTS:
-            raise ConfigError(
-                f"unknown environment {self.environment!r}, expected one of {ENVIRONMENTS}"
-            )
+        _known("algorithm", self.algorithm)
+        _known("environment", self.environment)
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if not self.out_dir:
@@ -54,58 +92,17 @@ class RunConfig:
 
 
 def make_env(name: str):
-    if name == "bumps":
-        return BumpsBandit()
-    if name == "pointmass":
-        return PointMass()
-    raise ConfigError(f"unknown environment {name!r}, expected one of {ENVIRONMENTS}")
+    _known("environment", name)
+    return ENV_TABLE[name][0]()
 
 
 def default_run_config(algorithm: str, environment: str) -> RunConfig:
-    """Tuned desk-scale baseline for each algorithm/environment pair.
-
-    The two-bump bandit runs start the policy at the worse mode with unit
-    sigma (phi_init 0).  A critic-only warmup phase lets the value network
-    resolve the smoothed landscape before the mean starts moving; the mean
-    then climbs the smoothed ramp to the better mode while sigma grows in
-    the convex mid-region and collapses once the mean parks on the optimum.
-    Unit rewards (reward_scale 1) keep the curvature signal above the
-    critic's noise floor at this scale.
-    """
-    cfg = RunConfig(algorithm=algorithm, environment=environment)
-    cfg.validate()
-    t = cfg.trainer
-    if environment == "bumps":
-        t.hidden = (32, 32)
-        t.batch_size = 64
-        t.critic_lr = 1e-3
-        t.mu_init = -1.0
-        t.reward_scale = 1.0
-        if algorithm == "ddpg":
-            t.total_steps = 6000
-            t.actor_lr = 1e-4
-            t.ou_damping = 0.15
-            t.ou_stddev = 0.2
-        else:
-            t.total_steps = 12000
-            t.warmup_steps = 6000
-            t.actor_lr = 1.5e-4
-            t.phi_lr = 1.5e-3
-            t.phi_init = 0.0
-    else:
-        t.hidden = (32, 32)
-        t.batch_size = 128
-        t.total_steps = 6000
-        t.critic_lr = 1e-3
-        t.actor_lr = 1e-3
-        t.gamma = 0.99
-        if algorithm == "ddpg":
-            t.actor_lr = 1e-4
-            t.ou_damping = 0.15
-            t.ou_stddev = 0.2
-    if algorithm == "smoothie_kl":
-        t.kl_coeff = 3e-2 if environment == "pointmass" else 1e-2
-    return cfg
+    """Tuned desk-scale baseline for each algorithm/environment pair, from ENV_TABLE."""
+    _known("algorithm", algorithm)
+    _known("environment", environment)
+    _, shared, own = ENV_TABLE[environment]
+    trainer = TrainerConfig(**{**shared, **own.get(algorithm, {})})
+    return RunConfig(algorithm, environment, trainer=trainer)
 
 
 # --------------------------------------------------------------- config text
@@ -163,6 +160,14 @@ def parse_seeds(raw: str, where: str) -> tuple[int, ...]:
     return seeds
 
 
+def parse_algorithms(raw: str, where: str) -> tuple[str, ...]:
+    """Algorithm names from comma-separated text; ``where`` names the source in errors."""
+    names = tuple(part.strip() for part in raw.split(","))
+    for name in names:
+        _known("algorithm", name, f"{where}: ")
+    return names
+
+
 def _scan_pairs(text: str) -> list[tuple[int, str, str]]:
     pairs = []
     seen: dict[str, int] = {}
@@ -192,20 +197,11 @@ def parse_config(text: str) -> RunConfig:
     for required in ("algorithm", "environment"):
         if required not in by_key:
             raise ConfigError(f"missing required key {required!r}")
-    algorithm = by_key["algorithm"][1]
-    environment = by_key["environment"][1]
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(
-            f"line {by_key['algorithm'][0]}: unknown algorithm {algorithm!r}, "
-            f"expected one of {ALGORITHMS}"
-        )
-    if environment not in ENVIRONMENTS:
-        raise ConfigError(
-            f"line {by_key['environment'][0]}: unknown environment {environment!r}, "
-            f"expected one of {ENVIRONMENTS}"
-        )
+    for kind in ("algorithm", "environment"):
+        lineno, name = by_key[kind]
+        _known(kind, name, f"line {lineno}: ")
 
-    cfg = default_run_config(algorithm, environment)
+    cfg = default_run_config(by_key["algorithm"][1], by_key["environment"][1])
     for lineno, key, raw in pairs:
         if key in ("algorithm", "environment"):
             continue
@@ -278,10 +274,7 @@ class RunResult:
 
 
 def _build_trainer(cfg: RunConfig, seed: int):
-    tcfg = replace(cfg.trainer, seed=seed)
-    if cfg.algorithm == "ddpg":
-        return DdpgTrainer(make_env(cfg.environment), tcfg)
-    return SmoothieTrainer(make_env(cfg.environment), tcfg)
+    return TRAINERS[cfg.algorithm](make_env(cfg.environment), replace(cfg.trainer, seed=seed))
 
 
 def _run_one_seed(cfg: RunConfig, seed: int) -> SeedOutcome:

@@ -38,10 +38,10 @@ import numpy as np
 import pytest
 
 from smoothie_rl import verify
-from smoothie_rl.ddpg import DdpgTrainer
 from smoothie_rl.harness import (
     ALGORITHMS,
     ENVIRONMENTS,
+    TRAINERS,
     default_run_config,
     default_search_spec,
     dump_config,
@@ -49,7 +49,6 @@ from smoothie_rl.harness import (
     random_search,
     run,
 )
-from smoothie_rl.smoothie import SmoothieTrainer
 
 
 def _sha1(text: str) -> str:
@@ -58,8 +57,7 @@ def _sha1(text: str) -> str:
 
 def _trained(algorithm, environment, **overrides):
     cfg = replace(default_run_config(algorithm, environment).trainer, seed=0, **overrides)
-    cls = DdpgTrainer if algorithm == "ddpg" else SmoothieTrainer
-    trainer = cls(make_env(environment), cfg)
+    trainer = TRAINERS[algorithm](make_env(environment), cfg)
     trainer.train()
     return trainer
 

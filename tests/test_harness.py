@@ -20,6 +20,7 @@ from smoothie_rl.harness import (
     SearchSpec,
     default_run_config,
     dump_config,
+    make_env,
     parse_config,
     random_search,
     run,
@@ -184,6 +185,8 @@ def test_run_config_validation():
         RunConfig("smoothie", "mujoco").validate()
     with pytest.raises(ConfigError):
         RunConfig("smoothie", "bumps", seeds=()).validate()
+    with pytest.raises(ConfigError):
+        make_env("cartpole")
 
 
 # ---------------------------------------------------------------------- runs
@@ -445,11 +448,14 @@ def test_cli_search_ok(tmp_path, monkeypatch):
     assert (tmp_path / "out" / "search.csv").exists()
 
 
-def test_cli_landscape(tmp_path):
+def test_cli_landscape(tmp_path, monkeypatch):
     code = cli.main(["landscape", "--out", str(tmp_path), "--points", "41", "--sigma", "1.0"])
     assert code == 0
     with open(tmp_path / "landscape.csv") as fh:
         lines = fh.read().strip().split("\n")
     assert lines[0] == "a,reward,smoothed"
     assert len(lines) == 42
-    assert cli.main(["landscape", "--sigma", "-1"]) == cli.EXIT_CONFIG
+    monkeypatch.chdir(tmp_path)
+    for bad in (["--sigma", "-1"], ["--out", ""], ["--points", "0"]):
+        assert cli.main(["landscape", *bad]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "runs").exists()

@@ -24,3 +24,12 @@ def test_bad_seeds_give_config_error(script, seeds, tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: --seeds ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("script", ["run_bumps", "run_pointmass"])
+@pytest.mark.parametrize("algorithms", ["sac", "smoothie,sac", ""])
+def test_unknown_algorithms_give_config_error(script, algorithms, tmp_path, capsys):
+    code = _load(script).main(["--algorithms", algorithms, "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --algorithms: unknown algorithm ")
+    assert not (tmp_path / "out").exists()
