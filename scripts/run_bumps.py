@@ -34,11 +34,15 @@ def main(argv=None) -> int:
     try:
         seeds = parse_seeds(args.seeds, "--seeds")
         algorithms = parse_algorithms(args.algorithms, "--algorithms")
+        if not args.out:
+            raise ConfigError("--out must not be empty")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return cli.EXIT_CONFIG
 
-    cli.main(["landscape", "--sigma", "1.0", "--out", args.out])
+    code = cli.main(["landscape", "--sigma", "1.0", "--out", args.out])
+    if code != cli.EXIT_OK:
+        return code
 
     worst_exit = 0
     for algorithm in algorithms:

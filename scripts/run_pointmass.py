@@ -39,6 +39,8 @@ def main(argv=None) -> int:
     try:
         seeds = parse_seeds(args.seeds, "--seeds")
         algorithms = parse_algorithms(args.algorithms, "--algorithms")
+        if not args.out:
+            raise ConfigError("--out must not be empty")
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return cli.EXIT_CONFIG

@@ -66,7 +66,8 @@ def ddpg_actor_update(
 
 
 class DdpgTrainer(Trainer):
-    """OU-noise collection; one critic update per step, and one actor update past the warmup."""
+    """OU-noise collection, the deterministic actor step, and a greedy evaluation episode
+    every ``eval_interval`` steps."""
 
     def __init__(self, env, cfg: TrainerConfig):
         super().__init__(env, cfg)
@@ -91,23 +92,20 @@ class DdpgTrainer(Trainer):
     def _act(self, obs):
         return self.actor.forward(obs) + self.noise.step(self.rngs["act"])
 
-    def _update(self, step: int) -> float | None:
-        cfg, rngs = self.cfg, self.rngs
-        td = None
-        if len(self.buffer) >= cfg.batch_size:
-            actor_moves = step > cfg.warmup_steps
-            if actor_moves:
-                batch = self.buffer.sample(cfg.batch_size, rngs["replay"])
-                ddpg_actor_update(self.actor, self.critic, batch, cfg, self.opt_actor)
-            batch = self.buffer.sample(cfg.batch_size, rngs["replay"])
-            td = ddpg_critic_update(
-                self.critic, self.critic_target, self.actor_target, batch, cfg, self.opt_critic
-            )
-            if actor_moves:
-                polyak_update(self.actor_target.params, self.actor.params, cfg.tau)
-        if step % cfg.eval_interval == 0:
+    def _actor_step(self, batch, step):
+        ddpg_actor_update(self.actor, self.critic, batch, self.cfg, self.opt_actor)
+
+    def _critic_step(self, batch):
+        return ddpg_critic_update(self.critic, self.critic_target, self.actor_target, batch,
+                                  self.cfg, self.opt_critic)
+
+    def _average_actor_targets(self):
+        polyak_update(self.actor_target.params, self.actor.params, self.cfg.tau)
+
+    def _update(self, step):
+        super()._update(step)
+        if step % self.cfg.eval_interval == 0:
             self.eval_returns.append((step, self._eval_episode()))
-        return td
 
     def _record_stats(self):
         sigma = self.cfg.ou_stddev

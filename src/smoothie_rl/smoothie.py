@@ -8,8 +8,8 @@ critic's action gradient evaluated at the mean, and the policy covariance
 ascends half the critic's action Hessian, which equals the covariance
 gradient of the smoothed value.  An optional KL penalty with
 coefficient ``kl_coeff`` pulls each update toward the slowly moving target
-policy.  The collection loop, ``Trainer.train``, is shared with the DDPG
-baseline.
+policy.  The collection loop and the per-step update schedule, ``Trainer``,
+are shared with the DDPG baseline.
 """
 
 from __future__ import annotations
@@ -104,6 +104,9 @@ class TrainerConfig:
             value = getattr(self, name)
             if not ok(value):
                 raise ValueError(f"{name} {msg}, got {value!r}")
+        if self.batch_size > self.buffer_capacity:
+            raise ValueError(f"batch_size {self.batch_size} exceeds buffer_capacity "
+                             f"{self.buffer_capacity}, so no batch could ever be sampled")
 
 
 def csv_row(values) -> str:
@@ -326,14 +329,18 @@ def _seed_streams(seed: int):
 
 
 class Trainer:
-    """One collection loop shared by the smoothed-critic and DDPG trainers.
+    """One collection loop and update schedule shared by the smoothed-critic and DDPG trainers.
 
     Each step acts, steps the environment, stores the transition, runs the
-    subclass's per-step update and, every ``record_interval`` steps, appends
-    a TrainLog row.  The base builds what both trainers share: the actor
-    (the smoothed trainer's mean net) shifted by ``mu_init``, the critic, its
-    target and Adam state, and the replay buffer.  Subclasses supply
-    ``_act``, ``_update`` and ``_record_stats``.
+    updates of ``_update`` and, every ``record_interval`` steps, appends a
+    TrainLog row.  The base builds what both trainers share: the actor (the
+    smoothed trainer's mean net) shifted by ``mu_init``, the critic, its
+    target and Adam state, and the replay buffer.  Subclasses supply the
+    exploratory action ``_act(obs)``, one actor update ``_actor_step(batch,
+    step)``, one critic update ``_critic_step(batch)`` that returns its TD
+    loss, ``_average_actor_targets()`` that moves the actor's targets toward
+    it, and ``_record_stats()``: (sigma_min, sigma_mean, sigma_max, kl) for
+    the next log row.
     """
 
     def __init__(self, env, cfg: TrainerConfig):
@@ -351,21 +358,27 @@ class Trainer:
         self.buffer = ReplayBuffer(cfg.buffer_capacity)
         self.opt_critic = AdamState.for_params(self.critic.n_params)
         self.log = TrainLog()
+        self.last_td = 0.0
 
-    def _act(self, obs) -> np.ndarray:
-        """The exploratory action at ``obs``."""
-        raise NotImplementedError
+    def _update(self, step: int) -> None:
+        """The updates after collecting ``step``.
 
-    def _update(self, step: int) -> float | None:
-        """The updates after collecting ``step``; returns the critic's TD loss if it stepped.
-
-        A returned loss also moves the critic target toward the critic.
+        Once the buffer holds a batch: past the warmup an actor step on one
+        replay batch, then a critic step on a second batch and Polyak
+        averaging of the critic target, then averaging of the actor's targets
+        if the actor moved.
         """
-        raise NotImplementedError
-
-    def _record_stats(self) -> tuple[float, float, float, float]:
-        """(sigma_min, sigma_mean, sigma_max, kl) for the next log row."""
-        raise NotImplementedError
+        cfg, rng = self.cfg, self.rngs["replay"]
+        if len(self.buffer) < cfg.batch_size:
+            return
+        actor_moves = step > cfg.warmup_steps
+        if actor_moves:
+            self._actor_step(self.buffer.sample(cfg.batch_size, rng), step)
+        self.last_td = self._critic_step(self.buffer.sample(cfg.batch_size, rng))
+        polyak_update(self.critic_target.params, self.critic.params, cfg.tau)
+        # Averaging toward a frozen actor would only move its targets by rounding.
+        if actor_moves:
+            self._average_actor_targets()
 
     def train(self) -> TrainLog:
         cfg = self.cfg
@@ -374,7 +387,6 @@ class Trainer:
         ep_return = 0.0
         window: list[float] = []
         last_return = 0.0
-        last_td = 0.0
         try:
             for step in range(1, cfg.total_steps + 1):
                 action = self._act(obs)
@@ -395,15 +407,12 @@ class Trainer:
                     obs = env.reset(rngs["env"])
                 else:
                     obs = sr.next_observation
-                td = self._update(step)
-                if td is not None:
-                    last_td = td
-                    polyak_update(self.critic_target.params, self.critic.params, cfg.tau)
+                self._update(step)
                 if step % cfg.record_interval == 0:
                     if window:
                         last_return = float(np.mean(window))
                         window.clear()
-                    self.log.append(step, last_return, *self._record_stats(), last_td)
+                    self.log.append(step, last_return, *self._record_stats(), self.last_td)
         except DivergenceError as err:
             err.partial_log = self.log  # type: ignore[attr-defined]
             raise
@@ -424,29 +433,20 @@ class SmoothieTrainer(Trainer):
     def _act(self, obs):
         return self.policy.act(obs, self.rngs["act"])
 
-    def _update(self, step: int) -> float | None:
-        cfg, rngs = self.cfg, self.rngs
-        if len(self.buffer) < cfg.batch_size:
-            return None
-        actor_moves = step > cfg.warmup_steps
-        if actor_moves:
-            batch = self.buffer.sample(cfg.batch_size, rngs["replay"])
-            # The KL feeds only the log row, so without a penalty it is
-            # computed only on the steps that write one.
-            kl = policy_update(
-                self.policy, self.critic, batch, cfg, self.opt_theta, self.opt_phi,
-                want_kl=step % cfg.record_interval == 0,
-            )
-            if kl is not None:
-                self.last_kl = kl
-        batch = self.buffer.sample(cfg.batch_size, rngs["replay"])
-        td = critic_update(
-            self.critic, self.critic_target, self.policy, batch, cfg, self.opt_critic, rngs["phantom"]
-        )
-        # Averaging toward a frozen policy would only move the targets by rounding.
-        if actor_moves:
-            self.policy.polyak_targets(cfg.tau)
-        return td
+    def _actor_step(self, batch, step):
+        # The KL feeds only the log row, so without a penalty it is computed
+        # only on the steps that write one.
+        kl = policy_update(self.policy, self.critic, batch, self.cfg, self.opt_theta,
+                           self.opt_phi, want_kl=step % self.cfg.record_interval == 0)
+        if kl is not None:
+            self.last_kl = kl
+
+    def _critic_step(self, batch):
+        return critic_update(self.critic, self.critic_target, self.policy, batch, self.cfg,
+                             self.opt_critic, self.rngs["phantom"])
+
+    def _average_actor_targets(self):
+        self.policy.polyak_targets(self.cfg.tau)
 
     def _record_stats(self):
         s = self.policy.sigma

@@ -53,7 +53,7 @@ def test_ou_rejects_bad_params():
         OuNoise(1, damping=0.1, stddev=-0.1)
 
 
-def test_ou_step_formula_and_reset():
+def test_ou_step_formula():
     noise = OuNoise(2, damping=0.2, stddev=0.5)
     rng = np.random.default_rng(0)
     ref_rng = np.random.default_rng(0)
@@ -158,8 +158,8 @@ def test_mean_update_equals_ddpg_at_frozen_tiny_variance():
 
 def test_critic_update_equals_ddpg_at_underflowed_variance():
     """At log variance -1000 the policy variance underflows to 0.0, so the
-    phantom actions are the stored ones; with density tracking off the
-    smoothed critic step is DDPG's, bit for bit."""
+    phantom actions are the stored ones, and the smoothed critic step is
+    DDPG's, bit for bit."""
     rng = np.random.default_rng(9)
     critic = critic_net(1, 1, (8, 8), rng)
     critic_t = critic.clone()

@@ -416,6 +416,11 @@ def test_cli_train_bad_seed_and_bad_content(tmp_path):
     assert cli.main(["train", "--config", good, "--seed", "x,y"]) == cli.EXIT_CONFIG
     for command in ("train", "search"):
         assert cli.main([command, "--config", good, "--out", ""]) == cli.EXIT_CONFIG
+    small = _write_config(tmp_path, MINIMAL + "buffer_capacity = 10\n")
+    out = str(tmp_path / "out")
+    for command in ("train", "search"):
+        assert cli.main([command, "--config", small, "--out", out]) == cli.EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_train_divergence_exit(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from smoothie_rl import cli
+from smoothie_rl import cli, harness
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -33,3 +33,22 @@ def test_unknown_algorithms_give_config_error(script, algorithms, tmp_path, caps
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: --algorithms: unknown algorithm ")
     assert not (tmp_path / "out").exists()
+
+
+def _no_training(cfg):
+    raise AssertionError(f"trained into {cfg.out_dir!r}")
+
+
+@pytest.mark.parametrize("script", ["run_bumps", "run_pointmass"])
+def test_empty_out_gives_config_error(script, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "run", _no_training)
+    assert _load(script).main(["--out", "", "--seeds", "0"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: --out must not be empty")
+    assert not any(tmp_path.iterdir())
+
+
+def test_run_bumps_stops_when_the_landscape_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(harness, "run", _no_training)
+    monkeypatch.setattr(cli, "main", lambda argv: cli.EXIT_CONFIG)
+    assert _load("run_bumps").main(["--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG

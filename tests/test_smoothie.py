@@ -19,6 +19,7 @@ from smoothie_rl.smoothie import (
     VAR_MAX,
     SmoothiePolicy,
     SmoothieTrainer,
+    Trainer,
     TrainLog,
     TrainerConfig,
     critic_targets,
@@ -84,6 +85,7 @@ def _batch(rng, n=16, state_dim=1, action_dim=1, done=False):
         {"hidden": (0, 4)},
         {"phi_init": float("nan")},
         {"mu_init": float("inf")},
+        {"batch_size": 65, "buffer_capacity": 64},
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -423,6 +425,61 @@ def test_warmup_trains_critic_only():
     np.testing.assert_array_equal(trainer.policy.target_mean_net.get_params(), theta0)
     np.testing.assert_array_equal(trainer.policy.target_log_var, phi0)
     assert np.any(trainer.critic.get_params() != critic0)
+
+
+class _RecordingTrainer(Trainer):
+    """Records each update hook with its step.  Each critic step moves the
+    critic by one and returns ten times the step as its TD loss."""
+
+    def __init__(self, env, cfg):
+        super().__init__(env, cfg)
+        self.calls = []
+        self.target_moved = []
+
+    def _act(self, obs):
+        return np.zeros(1)
+
+    def _update(self, step):
+        self.step = step
+        before = self.critic_target.params.copy()
+        super()._update(step)
+        if not np.array_equal(before, self.critic_target.params):
+            self.target_moved.append(step)
+
+    def _actor_step(self, batch, step):
+        assert step == self.step and batch.S.shape[0] == self.cfg.batch_size
+        self.calls.append(("actor", step))
+
+    def _critic_step(self, batch):
+        assert batch.S.shape[0] == self.cfg.batch_size
+        self.calls.append(("critic", self.step))
+        self.critic.params[:] += 1.0
+        return 10.0 * self.step
+
+    def _average_actor_targets(self):
+        self.calls.append(("targets", self.step))
+
+    def _record_stats(self):
+        return 1.0, 1.0, 1.0, 0.0
+
+
+def test_update_schedule():
+    """Nothing updates before the buffer holds a batch; from then on each step
+    takes an actor step past the warmup, then a critic step that moves the
+    critic target, then averages the actor's targets if the actor moved."""
+    cfg = TrainerConfig(total_steps=9, batch_size=3, warmup_steps=5, record_interval=1)
+    trainer = _RecordingTrainer(BumpsBandit(), cfg)
+    log = trainer.train()
+    want = []
+    for step in range(3, 10):
+        if step > 5:
+            want.append(("actor", step))
+        want.append(("critic", step))
+        if step > 5:
+            want.append(("targets", step))
+    assert trainer.calls == want
+    assert trainer.target_moved == list(range(3, 10))
+    assert log.column("td_loss") == [0.0, 0.0] + [10.0 * step for step in range(3, 10)]
 
 
 def test_plain_smoothie_computes_the_kl_only_on_logged_steps(monkeypatch):
