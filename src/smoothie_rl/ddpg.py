@@ -14,7 +14,7 @@ import copy
 
 import numpy as np
 
-from .deriv_net import AdamState, DerivNet, DivergenceError, adam_step, polyak_update
+from .deriv_net import AdamState, DerivNet, DivergenceError, adam_step, as_float64, polyak_update
 from .replay import Batch
 from .smoothie import Trainer, TrainerConfig, bellman_step
 
@@ -49,11 +49,10 @@ def ddpg_critic_update(
 
 def actor_ascent_direction(actor: DerivNet, critic: DerivNet, states) -> np.ndarray:
     """(1/B) sum_k dmu/dtheta^T dQ/da at a = mu(s_k)."""
-    S = np.asarray(states, dtype=float)
+    S = as_float64(states)
     mu, vjp = actor.param_vjp(S, None)
-    trip = critic.forward_with_action_derivs(S, mu)
-    g = trip.jacobian[:, 0, :]
-    if not np.all(np.isfinite(g)):
+    g = critic.forward_with_action_derivs(S, mu, hessian=False).jacobian[:, 0, :]
+    if not np.isfinite(g).all():
         raise DivergenceError("non-finite action gradient in actor update")
     return vjp(g / S.shape[0])
 

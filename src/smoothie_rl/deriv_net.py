@@ -35,10 +35,17 @@ is made and again after ``__setstate__`` (so after ``clone``, deepcopy and
 unpickling).  A plan entry holds the layer's weight, its transpose view, its
 bias, its activation and width, whether the action is injected there, and
 the offsets of its slice of a flat gradient.  The affine step is
-``z = h @ W.T`` followed by an in-place ``z += b``; tanh and relu overwrite
-``z`` in place; the vjp writes each layer's weight gradient straight into its
-slice of the flat gradient.  The public entry points still validate and
-promote their inputs on every call.
+``z = h.dot(W.T)`` followed by an in-place ``z += b``; tanh and relu
+overwrite ``z`` in place; the vjp writes each layer's weight gradient
+straight into its slice of the flat gradient.  Every product of the forward
+pass, of G and H and of the vjp's backward delta is ``ndarray.dot``, which
+costs a fraction of ``@``'s dispatch on these small matrices and gives the
+same bits.  The weight gradient alone stays ``np.matmul(dz.T, h_in,
+out=...)``: when the caller's cotangent is a broadcast (stride-0) column,
+``np.dot`` rounds that product differently, and a trajectory moved in its
+last bits.  The public entry points validate their inputs on every call;
+they skip the float64 conversion of an input that is already a float64
+ndarray.
 
 The module also carries the small optimization toolkit used by the trainers:
 a hand-rolled Adam step, Polyak averaging, a once-differentiable Huber loss,
@@ -48,6 +55,7 @@ global-norm clipping, and a flat-array checkpoint format.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,6 +63,16 @@ import numpy as np
 
 class DivergenceError(RuntimeError):
     """Raised when training produces non-finite values."""
+
+
+_FLOAT64 = np.dtype(np.float64)
+
+
+def as_float64(x) -> np.ndarray:
+    """``x`` as a float64 ndarray, returned as it is when it already is one."""
+    if type(x) is np.ndarray and x.dtype is _FLOAT64:
+        return x
+    return np.asarray(x, dtype=float)
 
 
 _ACTIVATIONS = ("tanh", "relu", "identity")
@@ -88,7 +106,7 @@ class ForwardTriple:
 
     value: np.ndarray
     jacobian: np.ndarray
-    hessian: np.ndarray
+    hessian: np.ndarray | None  # None from a Jacobian-only pass
 
 
 class DerivNet:
@@ -181,18 +199,18 @@ class DerivNet:
     # --------------------------------------------------------------- forward
 
     def _promote(self, state, action):
-        state = np.asarray(state, dtype=float)
+        state = as_float64(state)
         single = state.ndim == 1
         if single:
             state = state[None, :]
         if state.shape[1] != self.state_dim:
             raise ValueError(f"state width {state.shape[1]} != {self.state_dim}")
         if self.action_dim == 0:
-            act = np.zeros((state.shape[0], 0))
+            act = None  # an actor's pass never reads the action
         else:
             if action is None:
                 raise ValueError("action required")
-            act = np.asarray(action, dtype=float)
+            act = as_float64(action)
             if act.ndim == 1:
                 act = act[None, :]
             if act.shape != (state.shape[0], self.action_dim):
@@ -201,13 +219,13 @@ class DerivNet:
                 )
         return state, act, single
 
-    def _forward_core(self, x, act, want_derivs: bool, want_cache: bool):
+    def _forward_core(self, x, act, want_derivs: bool, want_cache: bool, hessian: bool = True):
         cache = [] if want_cache else None
         h = x
         for _, WT, b, activation, _, injected, _ in self._plan:
             if injected:
                 h = np.concatenate([h, act], axis=1)
-            z = h @ WT
+            z = h.dot(WT)
             z += b
             fp = None  # f'(z), where read; None for identity
             if activation == "tanh":
@@ -217,8 +235,10 @@ class DerivNet:
                     fp = z * z
                     np.subtract(1.0, fp, out=fp)
                 if at_action:
-                    fpp = z * -2.0
-                    fpp *= fp
+                    fpp = None
+                    if hessian:
+                        fpp = z * -2.0
+                        fpp *= fp
                     action_fp = fp, fpp
             elif activation == "relu":  # never where the action enters
                 if want_cache:
@@ -231,7 +251,8 @@ class DerivNet:
             return h, None, None, cache
         if self.action_dim == 0:
             B = x.shape[0]
-            return h, np.zeros((B, self.out_dim, 0)), np.zeros((B, self.out_dim, 0, 0)), cache
+            H = np.zeros((B, self.out_dim, 0, 0)) if hessian else None
+            return h, np.zeros((B, self.out_dim, 0)), H, cache
         return (h, *self._output_derivs(*action_fp), cache)
 
     def _output_derivs(self, fp, fpp):
@@ -239,18 +260,20 @@ class DerivNet:
         output, from f' and f'' of the tanh layer where the action enters.
 
         G_oi = sum_k f'_k Wo_ok Wa_ki and H_oij = sum_k f''_k Wo_ok Wa_ki Wa_kj,
-        each one (batch, width) matrix product.
+        each one (batch, width) matrix product.  The Hessian is None when
+        ``fpp`` is.
         """
         (_, WT, _, _, w, _, _), (Wo, _, _, _, o, _, _) = self._plan[-2:]
         da = self.action_dim
         Wa = WT[WT.shape[0] - da :].T  # (width, d_a)
         WoT = Wo.T[:, :, None]  # (width, out, 1)
-        # Wa_i Wa_j is formed before the product with Wo, so H is exactly symmetric.
-        mg = WoT * Wa[:, None, :]
-        mh = WoT[..., None] * (Wa[:, :, None] * Wa[:, None, :])[:, None]
         B = fp.shape[0]
-        G = (fp @ mg.reshape(w, o * da)).reshape(B, o, da)
-        H = (fpp @ mh.reshape(w, o * da * da)).reshape(B, o, da, da)
+        G = fp.dot((WoT * Wa[:, None, :]).reshape(w, o * da)).reshape(B, o, da)
+        if fpp is None:
+            return G, None
+        # Wa_i Wa_j is formed before the product with Wo, so H is exactly symmetric.
+        mh = WoT[..., None] * (Wa[:, :, None] * Wa[:, None, :])[:, None]
+        H = fpp.dot(mh.reshape(w, o * da * da)).reshape(B, o, da, da)
         return G, H
 
     def forward(self, state, action=None) -> np.ndarray:
@@ -258,11 +281,14 @@ class DerivNet:
         h, _, _, _ = self._forward_core(state, act, want_derivs=False, want_cache=False)
         return h[0] if single else h
 
-    def forward_with_action_derivs(self, state, action=None) -> ForwardTriple:
+    def forward_with_action_derivs(self, state, action=None, hessian: bool = True) -> ForwardTriple:
+        """Output with its action Jacobian and, unless ``hessian`` is False, its
+        action Hessian; a Jacobian-only pass returns ``hessian=None``."""
         state, act, single = self._promote(state, action)
-        h, G, H, _ = self._forward_core(state, act, want_derivs=True, want_cache=False)
+        h, G, H, _ = self._forward_core(state, act, want_derivs=True, want_cache=False,
+                                        hessian=hessian)
         if single:
-            return ForwardTriple(value=h[0], jacobian=G[0], hessian=H[0])
+            return ForwardTriple(value=h[0], jacobian=G[0], hessian=None if H is None else H[0])
         return ForwardTriple(value=h, jacobian=G, hessian=H)
 
     def param_vjp(self, state, action):
@@ -278,7 +304,7 @@ class DerivNet:
         plan = self._plan
 
         def vjp(cotangent) -> np.ndarray:
-            cot = np.asarray(cotangent, dtype=float)
+            cot = as_float64(cotangent)
             if cot.shape != out.shape:
                 raise ValueError(f"cotangent shape {cot.shape} != {out.shape}")
             grad = np.empty(self.n_params)
@@ -289,10 +315,12 @@ class DerivNet:
                 dz = delta
                 if fp is not None:  # every delta but the caller's cotangent is this pass's own
                     dz = delta * fp if delta is cot else np.multiply(delta, fp, out=delta)
+                # np.dot would round this product differently when dz is the
+                # caller's broadcast cotangent column; see the module docstring.
                 np.matmul(dz.T, h_in, out=grad[i:j].reshape(W.shape))
-                np.sum(dz, axis=0, out=grad[j:end])
+                np.add.reduce(dz, axis=0, out=grad[j:end])
                 if k > 0:
-                    delta = dz @ W
+                    delta = dz.dot(W)
                     if injected:
                         delta = delta[:, : delta.shape[1] - self.action_dim]
             return grad
@@ -368,10 +396,10 @@ def adam_step(params: np.ndarray, grads: np.ndarray, lr: float, state: AdamState
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
     ``params - lr*mhat / (sqrt(vhat) + eps)``, operation for operation.
     """
-    grads = np.asarray(grads, dtype=float)
+    grads = as_float64(grads)
     if grads.shape != params.shape:
         raise ValueError(f"gradient shape {grads.shape} != params shape {params.shape}")
-    if not np.all(np.isfinite(grads)):
+    if not np.isfinite(grads).all():
         raise DivergenceError("non-finite gradient in adam_step")
     if state.scratch is None or state.scratch[0].shape != grads.shape:
         state.scratch = (np.empty_like(grads), np.empty_like(grads))
@@ -409,15 +437,17 @@ def huber(residual, clip: float):
     """Value and derivative of the Huber loss, quadratic inside +-clip, linear outside."""
     if clip <= 0.0:
         raise ValueError(f"huber clip must be positive, got {clip}")
-    r = np.asarray(residual, dtype=float)
-    inside = np.abs(r) <= clip
-    value = np.where(inside, 0.5 * r * r, clip * (np.abs(r) - 0.5 * clip))
+    r = as_float64(residual)
+    mag = np.abs(r)
+    inside = mag <= clip
+    value = np.where(inside, 0.5 * r * r, clip * (mag - 0.5 * clip))
     deriv = np.where(inside, r, clip * np.sign(r))
     return value, deriv
 
 
 def clip_global_norm(g: np.ndarray, max_norm: float) -> np.ndarray:
-    norm = float(np.linalg.norm(g))
+    # np.linalg.norm of a vector is this same sqrt(g . g), behind more dispatch.
+    norm = math.sqrt(g.dot(g))
     if max_norm > 0.0 and norm > max_norm:
         return g * (max_norm / norm)
     return g

@@ -31,9 +31,14 @@ def _check_action(action, dim: int) -> np.ndarray:
     a = np.atleast_1d(np.asarray(action, dtype=float))
     if a.shape != (dim,):
         raise ValueError(f"action shape {a.shape} != ({dim},)")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("non-finite action")
     return a
+
+
+def _clip(a: np.ndarray, spec: EnvSpec) -> np.ndarray:
+    """np.clip of a finite action to the bounds, without its wrapper's dispatch."""
+    return np.minimum(np.maximum(a, spec.action_low), spec.action_high)
 
 
 class BumpsBandit:
@@ -77,8 +82,7 @@ class BumpsBandit:
         return np.zeros(1)
 
     def step(self, action, rng: np.random.Generator) -> StepResult:
-        a = _check_action(action, 1)
-        a = np.clip(a, self.spec.action_low, self.spec.action_high)
+        a = _clip(_check_action(action, 1), self.spec)
         r = float(self.reward_fn(a[0]))
         return StepResult(reward=r, next_observation=np.zeros(1), done=True)
 
@@ -124,12 +128,11 @@ class PointMass:
         return self._obs()
 
     def step(self, action, rng: np.random.Generator) -> StepResult:
-        a = _check_action(action, 2)
-        a = np.clip(a, self.spec.action_low, self.spec.action_high)
+        a = _clip(_check_action(action, 2), self.spec)
         self._pos = self._pos + self._vel * self.dt
         self._vel = self._vel + (a - self.drag * self._vel) * self.dt
-        dist2 = float(np.sum((self._pos - self.goal) ** 2))
-        reward = -dist2 - 0.01 * float(np.sum(a * a))
+        dist2 = float(np.add.reduce((self._pos - self.goal) ** 2))
+        reward = -dist2 - 0.01 * float(np.add.reduce(a * a))
         self._t += 1
         done = self._t >= self.horizon
         return StepResult(reward=reward, next_observation=self._obs(), done=done)

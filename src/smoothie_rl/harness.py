@@ -89,6 +89,13 @@ class RunConfig:
         if not self.out_dir:
             raise ConfigError("out_dir must not be empty")
         self.trainer.validate()
+        # A run writes a log row every record_interval steps; a shorter one
+        # would write a header-only log and a summary of nan returns.
+        if self.trainer.total_steps < self.trainer.record_interval:
+            raise ConfigError(
+                f"total_steps {self.trainer.total_steps} is below record_interval "
+                f"{self.trainer.record_interval}, so the run would never log a row"
+            )
 
 
 def make_env(name: str):

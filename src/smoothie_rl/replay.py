@@ -98,7 +98,7 @@ def phantom_actions(batch: Batch, variance, rng: np.random.Generator) -> np.ndar
     ``variance`` is the per-dimension variance vector shared by every row.
     """
     var = np.asarray(variance, dtype=float)
-    if np.any(var < 0.0) or not np.all(np.isfinite(var)):
+    if (var < 0.0).any() or not np.isfinite(var).all():
         raise ValueError("phantom variances must be finite and nonnegative")
     A = batch.A
     return A + np.sqrt(var) * rng.standard_normal(A.shape)

@@ -15,6 +15,7 @@ are shared with the DDPG baseline.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,7 @@ from .deriv_net import (
     DivergenceError,
     actor_net,
     adam_step,
+    as_float64,
     clip_global_norm,
     critic_net,
     huber,
@@ -36,6 +38,8 @@ from .replay import Batch, ReplayBuffer, Transition, phantom_actions
 # Variance clamp, wide enough that it never binds in ordinary runs.
 VAR_MIN = 1e-8
 VAR_MAX = 1e4
+_LOG_VAR_MIN = float(np.log(VAR_MIN))
+_LOG_VAR_MAX = float(np.log(VAR_MAX))
 
 TRAIN_LOG_COLUMNS = ("step", "return_mean", "sigma_min", "sigma_mean", "sigma_max", "kl", "td_loss")
 
@@ -189,7 +193,8 @@ class SmoothiePolicy:
         return mu + np.exp(0.5 * self.log_var) * rng.standard_normal(self.action_dim)
 
     def clamp_variance(self) -> None:
-        self.log_var = np.clip(self.log_var, np.log(VAR_MIN), np.log(VAR_MAX))
+        # np.clip's result, without its wrapper's dispatch.
+        self.log_var = np.minimum(np.maximum(self.log_var, _LOG_VAR_MIN), _LOG_VAR_MAX)
 
     def polyak_targets(self, tau: float) -> None:
         polyak_update(self.target_mean_net.params, self.mean_net.params, tau)
@@ -239,11 +244,12 @@ def bellman_step(
     """
     y = critic_targets(critic_target, target_actor, batch, cfg)
     q, vjp = critic.param_vjp(batch.S, actions)
+    B = batch.S.shape[0]
     hval, hder = huber(q[:, 0] - y, cfg.huber_clip)
-    loss = float(np.mean(hval))
-    if not np.isfinite(loss):
+    loss = float(np.add.reduce(hval) / B)  # np.mean's sum and division
+    if not math.isfinite(loss):
         raise DivergenceError("non-finite critic loss")
-    grad = vjp((hder / batch.S.shape[0])[:, None])
+    grad = vjp((hder / B)[:, None])
     adam_step(critic.params, clip_global_norm(grad, cfg.q_grad_clip), cfg.critic_lr, opt)
     return loss
 
@@ -268,25 +274,28 @@ def policy_ascent_directions(
     """Ascent directions for the mean parameters and the log variance.
 
     Returns (theta direction, phi direction, action gradients, Hessian
-    diagonals, batch-mean KL against the target policy).  The KL, and the
-    target mean it needs, are computed only when ``cfg.kl_coeff`` is positive
-    or ``want_kl`` is set; otherwise the KL comes back as None.
+    diagonals, batch-mean KL against the target policy).  The KL is computed
+    only when ``want_kl`` is set, and comes back as None otherwise; the
+    target mean it compares with is computed when the KL or the penalty
+    (``cfg.kl_coeff`` positive) needs it.
     """
-    S = np.asarray(states, dtype=float)
+    S = as_float64(states)
     B = S.shape[0]
     mu, mean_vjp = policy.mean_net.param_vjp(S, None)
     trip = critic.forward_with_action_derivs(S, mu)
     g = trip.jacobian[:, 0, :]
-    h_diag = np.diagonal(trip.hessian[:, 0, :, :], axis1=1, axis2=2)
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(h_diag))):
+    h_diag = trip.hessian[:, 0].diagonal(axis1=1, axis2=2)
+    if not (np.isfinite(g).all() and np.isfinite(h_diag).all()):
         raise DivergenceError("non-finite critic derivatives in policy update")
     lam = cfg.kl_coeff
     kl_mean = None
     if lam > 0.0 or want_kl:
         mu_t = policy.target_mean(S)
+    if want_kl:
         kl_mean = float(np.mean(kl_terms(mu, policy.log_var, mu_t, policy.target_log_var)))
     cot = g
-    dir_phi = 0.5 * np.mean(h_diag, axis=0) * policy.variance
+    # np.mean's sum and division, without its wrapper's dispatch.
+    dir_phi = 0.5 * (np.add.reduce(h_diag, axis=0) / B) * policy.variance
     if lam > 0.0:
         # d KL / d mu = (mu - mu_target) / var_target, chained through the mean net.
         cot = g - lam * (mu - mu_t) / np.exp(policy.target_log_var)
@@ -306,7 +315,7 @@ def policy_update(
     want_kl: bool = True,
 ) -> float | None:
     """Ascend mean and covariance; returns the batch-mean KL against the target
-    policy, or None when neither the penalty nor ``want_kl`` asks for it.
+    policy, or None when ``want_kl`` is not set.
     """
     dir_theta, dir_phi, _, _, kl_mean = policy_ascent_directions(
         policy, critic, batch.S, cfg, want_kl
@@ -434,8 +443,8 @@ class SmoothieTrainer(Trainer):
         return self.policy.act(obs, self.rngs["act"])
 
     def _actor_step(self, batch, step):
-        # The KL feeds only the log row, so without a penalty it is computed
-        # only on the steps that write one.
+        # The KL value feeds only the log row, so it is computed only on the
+        # steps that write one; the penalty's gradient does not need it.
         kl = policy_update(self.policy, self.critic, batch, self.cfg, self.opt_theta,
                            self.opt_phi, want_kl=step % self.cfg.record_interval == 0)
         if kl is not None:

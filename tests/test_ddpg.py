@@ -130,6 +130,28 @@ def test_actor_direction_matches_fd():
 # -------------------------------------------- degenerate-variance equivalence
 
 
+def test_actor_direction_takes_a_jacobian_only_pass():
+    """The actor reads only the action gradient, so its critic pass forms no Hessian;
+    the direction equals the vjp of the full pass's gradient bit for bit."""
+    rng = np.random.default_rng(11)
+    actor = _tanh_actor(seed=11)
+    critic = critic_net(1, 1, (8, 8), rng)
+    S = rng.uniform(-1, 1, size=(10, 1))
+    passes = []
+    full_pass = critic.forward_with_action_derivs
+
+    def recording_pass(*args, **kwargs):
+        passes.append(full_pass(*args, **kwargs))
+        return passes[-1]
+
+    critic.forward_with_action_derivs = recording_pass
+    direction = actor_ascent_direction(actor, critic, S)
+    assert len(passes) == 1 and passes[0].hessian is None
+    mu, vjp = actor.param_vjp(S, None)
+    g = full_pass(S, mu).jacobian[:, 0, :]
+    assert direction.tobytes() == vjp(g / len(S)).tobytes()
+
+
 def test_mean_update_equals_ddpg_at_frozen_tiny_variance():
     """With log variance frozen at -40 the smoothed trainer's mean ascent
     direction and the resulting optimizer step coincide with the

@@ -134,6 +134,70 @@ def test_batched_forward_matches_loop():
         assert np.allclose(trip.hessian[k], tk.hessian, atol=1e-14)
 
 
+@pytest.mark.parametrize("single", [False, True], ids=["batch", "row"])
+def test_jacobian_only_pass_matches_the_full_pass(single):
+    """hessian=False returns the full pass's value and Jacobian bit for bit, and no Hessian."""
+    rng = np.random.default_rng(5)
+    net = critic_net(3, 2, (9, 7), rng)
+    S = rng.uniform(-1, 1, size=(6, 3))
+    A = rng.uniform(-1, 1, size=(6, 2))
+    if single:
+        S, A = S[0], A[0]
+    full = net.forward_with_action_derivs(S, A)
+    fast = net.forward_with_action_derivs(S, A, hessian=False)
+    assert fast.hessian is None
+    assert fast.jacobian.tobytes() == full.jacobian.tobytes()
+    assert fast.value.tobytes() == full.value.tobytes()
+    actor = actor_net(3, 2, (8,), rng)
+    assert actor.forward_with_action_derivs(S, hessian=False).hessian is None
+
+
+def test_public_entry_points_promote_other_inputs_to_the_float64_bytes():
+    """Lists, 1-D rows and float32 arrays give the bytes of the float64 array they convert to."""
+    rng = np.random.default_rng(6)
+    net = critic_net(3, 2, (9, 7), rng)
+    S = rng.uniform(-1, 1, size=(5, 3)).astype(np.float32).astype(float)
+    A = rng.uniform(-1, 1, size=(5, 2)).astype(np.float32).astype(float)
+    want = net.forward(S, A).tobytes()
+    assert net.forward(S.tolist(), A.tolist()).tobytes() == want
+    assert net.forward(S.astype(np.float32), A.astype(np.float32)).tobytes() == want
+    assert net.forward(S[2], A[2]).tobytes() == net.forward(S[2:3], A[2:3])[0].tobytes()
+    trip = net.forward_with_action_derivs(S.astype(np.float32), A.tolist())
+    assert trip.hessian.tobytes() == net.forward_with_action_derivs(S, A).hessian.tobytes()
+    out, vjp = net.param_vjp(S.tolist(), A.astype(np.float32))
+    assert out.tobytes() == want
+    cot = rng.standard_normal((5, 1))
+    assert vjp(cot.tolist()).tobytes() == net.param_vjp(S, A)[1](cot).tobytes()
+    grad = rng.standard_normal(net.n_params)
+    p_list, p_arr = net.get_params(), net.get_params()
+    adam_step(p_list, grad.tolist(), 1e-3, AdamState.for_params(net.n_params))
+    adam_step(p_arr, grad, 1e-3, AdamState.for_params(net.n_params))
+    assert p_list.tobytes() == p_arr.tobytes()
+
+
+def test_bad_widths_raise_their_errors():
+    rng = np.random.default_rng(7)
+    net = critic_net(3, 2, (9, 7), rng)
+    S, A = np.zeros((4, 3)), np.zeros((4, 2))
+    with pytest.raises(ValueError, match=r"^state width 2 != 3$"):
+        net.forward(np.zeros((4, 2)), A)
+    with pytest.raises(ValueError, match=r"^state width 2 != 3$"):
+        net.forward_with_action_derivs([0.0, 0.0], [0.0, 0.0], hessian=False)
+    with pytest.raises(ValueError, match=r"^action required$"):
+        net.forward(S)
+    with pytest.raises(ValueError, match=r"^action shape \(4, 3\) incompatible with \(4, 2\)$"):
+        net.param_vjp(S, np.zeros((4, 3)))
+    with pytest.raises(ValueError, match=r"^action shape \(1, 2\) incompatible with \(4, 2\)$"):
+        net.forward(S, np.zeros(2, dtype=np.float32))
+    _, vjp = net.param_vjp(S, A)
+    with pytest.raises(ValueError, match=r"^cotangent shape \(4,\) != \(4, 1\)$"):
+        vjp(np.zeros(4))
+    with pytest.raises(ValueError, match=r"^cotangent shape \(4, 2\) != \(4, 1\)$"):
+        vjp([[0.0, 0.0]] * 4)
+    with pytest.raises(ValueError, match=r"^gradient shape \(3,\) != params shape \(2,\)$"):
+        adam_step(np.zeros(2), [0.0, 0.0, 0.0], 0.1, AdamState.for_params(2))
+
+
 def _deep_critic_batch():
     """Three hidden layers: two state layers, then the action joins the last one."""
     rng = np.random.default_rng(4)

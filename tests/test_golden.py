@@ -25,6 +25,11 @@ summary's fifth), or, for `dump_config`, minus its six `wallclock = false`
 lines; a script that applies that transformation to the old output
 reproduces the new bytes exactly.  No value in any row moved.
 
+The smoothie_kl/pointmass case at the default batch of 128 (the other log
+cases run at 32) also pins the final critic and mean-net parameter bytes,
+since a change of rounding can move the parameters and still leave a short
+log's nine printed digits alone.  It was captured at commit 1f807fd.
+
 Each parametrized case carries a fixed id, so that re-capturing a hash does
 not rename the test.  The ids of the log and summary.csv cases keep the
 hashes those cases were first captured with; the hash a case checks is its
@@ -55,6 +60,10 @@ def _sha1(text: str) -> str:
     return hashlib.sha1(text.encode()).hexdigest()
 
 
+def _sha1_bytes(array: np.ndarray) -> str:
+    return hashlib.sha1(array.tobytes()).hexdigest()
+
+
 def _trained(algorithm, environment, **overrides):
     cfg = replace(default_run_config(algorithm, environment).trainer, seed=0, **overrides)
     trainer = TRAINERS[algorithm](make_env(environment), cfg)
@@ -79,6 +88,15 @@ def _trained(algorithm, environment, **overrides):
 )
 def test_smoothie_log_golden(algorithm, environment, overrides, want):
     assert _sha1(_trained(algorithm, environment, **overrides).log.to_string()) == want
+
+
+def test_smoothie_kl_pointmass_golden_at_workload_batch():
+    """At its default batch of 128, also the final critic and mean-net parameter bytes."""
+    trainer = _trained("smoothie_kl", "pointmass", total_steps=300, record_interval=50)
+    assert trainer.cfg.batch_size == 128
+    assert _sha1(trainer.log.to_string()) == "e78f4b14aae1c66ca435b0e67f90d2ded71b7e62"
+    assert _sha1_bytes(trainer.critic.params) == "5c861c3a2a55fba36dc3527ea431f2b4f125d7cb"
+    assert _sha1_bytes(trainer.policy.mean_net.params) == "86778aca22c1bfe9b6d982aa7011457dd8cd78ed"
 
 
 def test_ddpg_log_and_eval_returns_golden():

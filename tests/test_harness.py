@@ -423,6 +423,22 @@ def test_cli_train_bad_seed_and_bad_content(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "search"])
+def test_cli_rejects_a_run_that_can_never_log_a_row(command, tmp_path, capsys):
+    """total_steps below record_interval would write a header-only log and nan returns."""
+    path = _write_config(tmp_path, MINIMAL + "total_steps = 50\n")
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", path, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "total_steps 50 is below record_interval 100" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = default_run_config("smoothie", "bumps")
+    cfg.trainer.total_steps, cfg.trainer.record_interval = 99, 100
+    with pytest.raises(ConfigError, match="would never log a row"):
+        cfg.validate()
+    cfg.trainer.total_steps = 100
+    cfg.validate()
+
+
 def test_cli_train_divergence_exit(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "_build_trainer", lambda cfg, seed: _FakeDivergingTrainer())
     path = _write_config(tmp_path, MINIMAL + "total_steps = 150\nbatch_size = 32\n")

@@ -383,6 +383,29 @@ def test_post_update_kl_nonincreasing_in_coefficient():
     assert kls[2] <= kls[1] + 1e-9
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.05])
+def test_policy_update_without_the_kl_value_steps_the_same(lam):
+    """want_kl=False skips only the logged KL value: with or without the penalty,
+    the mean parameters and log variance step bit for bit as with want_kl=True."""
+    rng = np.random.default_rng(37)
+    base = _policy(seed=37, phi_init=-0.6, state_dim=2, action_dim=2)
+    base.mean_net.set_params(base.mean_net.get_params() + 0.05 * rng.standard_normal(base.mean_net.n_params))
+    base.log_var = base.log_var + np.array([0.3, -0.2])
+    critic = critic_net(2, 2, (8, 8), rng)
+    batch = _batch(rng, n=16, state_dim=2, action_dim=2)
+    cfg = TrainerConfig(kl_coeff=lam, actor_lr=1e-2, phi_lr=1e-2)
+    results = []
+    for want_kl in (True, False):
+        policy = copy.deepcopy(base)
+        kl = policy_update(policy, critic, batch, cfg, AdamState.for_params(policy.mean_net.n_params),
+                           AdamState.for_params(2), want_kl=want_kl)
+        results.append((kl, policy.mean_net.params.tobytes(), policy.log_var.tobytes()))
+    (kl_on, theta_on, phi_on), (kl_off, theta_off, phi_off) = results
+    assert kl_off is None and kl_on > 0.0
+    assert theta_off == theta_on and phi_off == phi_on
+    assert theta_on != base.mean_net.params.tobytes()
+
+
 def test_freeze_sigma_keeps_log_var():
     rng = np.random.default_rng(31)
     policy = _policy(seed=31)
