@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .envs import BumpsBandit
-from .harness import ConfigError, default_search_spec, parse_config, parse_seeds, random_search, run
+from .harness import ConfigError, parse_config, parse_seeds, random_search, run
 from .smoothie import csv_row
 from .verify import default_suite, smoothed_landscape
 
@@ -66,9 +66,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_search(args) -> int:
     cfg = _load_config(args.config, args.seed, args.out)
-    spec = default_search_spec(trials=args.trials)
-    rng = np.random.default_rng(args.search_seed)
-    ranked = random_search(spec, cfg, rng)
+    ranked = random_search(cfg, args.trials, np.random.default_rng(args.search_seed))
     best = ranked[0]
     print(f"ran {len(ranked)} trial(s); best trial {best['trial']} score {best['score']:.9g}")
     print(f"wrote {os.path.join(cfg.out_dir, 'search.csv')}")

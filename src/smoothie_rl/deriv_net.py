@@ -17,8 +17,8 @@ layer and forms each as one matrix product:
     H = f'' @ (Wa_i Wa_j * Wo^T)     (batch, width) @ (width, out d_a^2)
 
 Wa_i Wa_j is formed before the product with Wo, so H is exactly symmetric.
-A net without an action input (the actor) may use relu, and its Jacobian and
-Hessian are empty.
+A net without an action input (the actor) may use relu; it has no action
+derivatives, and ``forward_with_action_derivs`` rejects it.
 
 Each net keeps all of its parameters in one flat array, ``DerivNet.params``;
 every layer's weight and bias are views into it, so reading, writing and
@@ -249,10 +249,6 @@ class DerivNet:
             h = z
         if not want_derivs:
             return h, None, None, cache
-        if self.action_dim == 0:
-            B = x.shape[0]
-            H = np.zeros((B, self.out_dim, 0, 0)) if hessian else None
-            return h, np.zeros((B, self.out_dim, 0)), H, cache
         return (h, *self._output_derivs(*action_fp), cache)
 
     def _output_derivs(self, fp, fpp):
@@ -281,9 +277,12 @@ class DerivNet:
         h, _, _, _ = self._forward_core(state, act, want_derivs=False, want_cache=False)
         return h[0] if single else h
 
-    def forward_with_action_derivs(self, state, action=None, hessian: bool = True) -> ForwardTriple:
+    def forward_with_action_derivs(self, state, action, hessian: bool = True) -> ForwardTriple:
         """Output with its action Jacobian and, unless ``hessian`` is False, its
-        action Hessian; a Jacobian-only pass returns ``hessian=None``."""
+        action Hessian; a Jacobian-only pass returns ``hessian=None``.  A net
+        without an action input has no action derivatives and raises."""
+        if self.action_dim == 0:
+            raise ValueError("a net without an action input has no action derivatives")
         state, act, single = self._promote(state, action)
         h, G, H, _ = self._forward_core(state, act, want_derivs=True, want_cache=False,
                                         hessian=hessian)
@@ -369,14 +368,17 @@ def actor_net(
 # ----------------------------------------------------------------- optimizer
 
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     # Two parameter-sized scratch arrays, allocated by the first step.
     scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
@@ -394,7 +396,8 @@ def adam_step(params: np.ndarray, grads: np.ndarray, lr: float, state: AdamState
 
     The arithmetic is that of
     ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
-    ``params - lr*mhat / (sqrt(vhat) + eps)``, operation for operation.
+    ``params - lr*mhat / (sqrt(vhat) + eps)``, operation for operation, with
+    b1, b2 and eps the module's ``ADAM_BETA1``, ``ADAM_BETA2`` and ``ADAM_EPS``.
     """
     grads = as_float64(grads)
     if grads.shape != params.shape:
@@ -406,16 +409,16 @@ def adam_step(params: np.ndarray, grads: np.ndarray, lr: float, state: AdamState
     a, b = state.scratch
     m, v = state.m, state.v
     state.t += 1
-    m *= state.beta1
-    m += np.multiply(grads, 1.0 - state.beta1, out=a)
-    np.multiply(grads, 1.0 - state.beta2, out=a)
-    v *= state.beta2
+    m *= ADAM_BETA1
+    m += np.multiply(grads, 1.0 - ADAM_BETA1, out=a)
+    np.multiply(grads, 1.0 - ADAM_BETA2, out=a)
+    v *= ADAM_BETA2
     v += np.multiply(a, grads, out=a)
-    np.divide(m, 1.0 - state.beta1**state.t, out=a)  # mhat
+    np.divide(m, 1.0 - ADAM_BETA1**state.t, out=a)  # mhat
     a *= lr
-    np.divide(v, 1.0 - state.beta2**state.t, out=b)  # vhat
+    np.divide(v, 1.0 - ADAM_BETA2**state.t, out=b)  # vhat
     np.sqrt(b, out=b)
-    b += state.eps
+    b += ADAM_EPS
     a /= b
     params -= a
     return params
@@ -466,8 +469,12 @@ def save_params(net: DerivNet, path) -> None:
 
 def load_params(net: DerivNet, path) -> None:
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
+        line = fh.readline()
         blob = fh.read()
+    try:
+        header = line.decode("ascii").strip()
+    except UnicodeDecodeError:
+        raise ValueError(f"bad checkpoint header {line[:40]!r}: not ASCII") from None
     prefix = "dims="
     if not header.startswith(prefix):
         raise ValueError(f"bad checkpoint header {header!r}")
@@ -475,6 +482,9 @@ def load_params(net: DerivNet, path) -> None:
         raise ValueError(
             f"checkpoint dims {header[len(prefix):]} do not match net dims {net.dims_header()}"
         )
+    if len(blob) % 8:
+        raise ValueError(f"bad checkpoint: {len(blob)} bytes of parameters is not a whole "
+                         "number of float64 values")
     flat = np.frombuffer(blob, dtype="<f8")
     if flat.shape[0] != net.n_params:
         raise ValueError(f"checkpoint holds {flat.shape[0]} values, net has {net.n_params}")

@@ -59,6 +59,25 @@ ENV_TABLE = {
 ALGORITHMS = tuple(TRAINERS)
 ENVIRONMENTS = tuple(ENV_TABLE)
 
+# The random search around a base config, one entry per TrainerConfig field
+# it sets.  A ("log", low, high, algorithms) entry draws the field
+# log-uniformly in [low, high] for the listed algorithms; a ("fixed", value)
+# entry sets it for every algorithm.  Draws follow the table's order, and
+# search.csv records the log entries' fields in that order.
+SEARCH_TABLE = {
+    "actor_lr": ("log", 1e-6, 1e-3, ALGORITHMS),
+    "critic_lr": ("log", 1e-6, 1e-3, ALGORITHMS),
+    "reward_scale": ("log", 0.01, 0.3, ALGORITHMS),
+    "ou_damping": ("log", 1e-4, 1e-3, ("ddpg",)),
+    "ou_stddev": ("log", 1e-3, 1.0, ("ddpg",)),
+    "kl_coeff": ("log", 1e-6, 4e-2, ("smoothie_kl",)),
+    "gamma": ("fixed", 0.995),
+    "tau": ("fixed", 0.01),
+    "batch_size": ("fixed", 128),
+    "q_grad_clip": ("fixed", 4.0),
+    "huber_clip": ("fixed", 1.0),
+}
+
 SUMMARY_COLUMNS = ("seed", "final_return", "best_return", "final_sigma_mean", "status")
 
 
@@ -146,11 +165,6 @@ _PARSERS = {
 }
 
 
-# How a search row's value converts to each numeric field type.  Log rows
-# sample floats, so they only apply to the fields converted by float.
-_NUMERIC = {int: int, float: float, float | None: float}
-
-
 def _parse(hint, raw: str, where: str):
     parse, expected = _PARSERS[hint]
     try:
@@ -160,10 +174,16 @@ def _parse(hint, raw: str, where: str):
 
 
 def parse_seeds(raw: str, where: str) -> tuple[int, ...]:
-    """Seeds from comma-separated text; ``where`` names the source in errors."""
+    """Distinct seeds from comma-separated text; ``where`` names the source in errors.
+
+    A repeated seed would train twice into the same log file.
+    """
     seeds = _parse(tuple[int, ...], raw, where)
     if not seeds:
         raise ConfigError(f"{where} needs at least one integer")
+    for k, seed in enumerate(seeds):
+        if seed in seeds[:k]:
+            raise ConfigError(f"{where} repeats seed {seed}")
     return seeds
 
 
@@ -333,61 +353,6 @@ def run(cfg: RunConfig) -> RunResult:
 # -------------------------------------------------------------------- search
 
 
-@dataclass(frozen=True)
-class SearchRow:
-    name: str
-    sampling: str  # "log" or "fixed"
-    low: float = 0.0
-    high: float = 0.0
-    value: float = 0.0
-    applies_to: tuple[str, ...] = ALGORITHMS
-
-    def __post_init__(self):
-        if self.sampling not in ("log", "fixed"):
-            raise ValueError(f"sampling must be log or fixed, got {self.sampling!r}")
-        if self.sampling == "log" and not 0.0 < self.low <= self.high:
-            raise ValueError(f"log-sampled range for {self.name} must be positive and ordered")
-        hint = _FIELD_TYPES.get(self.name)
-        if hint is None:
-            raise ValueError(f"search row {self.name!r} names no TrainerConfig field")
-        if self.sampling == "log" and _NUMERIC.get(hint) is not float:
-            raise ValueError(
-                f"search row {self.name!r} samples floats, but {self.name} takes {_PARSERS[hint][1]}"
-            )
-        if self.sampling == "fixed" and hint not in _NUMERIC:
-            raise ValueError(
-                f"search row {self.name!r} fixes a number, but {self.name} takes {_PARSERS[hint][1]}"
-            )
-
-
-@dataclass(frozen=True)
-class SearchSpec:
-    rows: tuple[SearchRow, ...]
-    trials: int = 100
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trial count must be >= 1")
-
-
-def default_search_spec(trials: int = 100) -> SearchSpec:
-    """Hyperparameter search procedure: log-uniform rows plus fixed values."""
-    rows = (
-        SearchRow("actor_lr", "log", 1e-6, 1e-3),
-        SearchRow("critic_lr", "log", 1e-6, 1e-3),
-        SearchRow("reward_scale", "log", 0.01, 0.3),
-        SearchRow("ou_damping", "log", 1e-4, 1e-3, applies_to=("ddpg",)),
-        SearchRow("ou_stddev", "log", 1e-3, 1.0, applies_to=("ddpg",)),
-        SearchRow("kl_coeff", "log", 1e-6, 4e-2, applies_to=("smoothie_kl",)),
-        SearchRow("gamma", "fixed", value=0.995),
-        SearchRow("tau", "fixed", value=0.01),
-        SearchRow("batch_size", "fixed", value=128),
-        SearchRow("q_grad_clip", "fixed", value=4.0),
-        SearchRow("huber_clip", "fixed", value=1.0),
-    )
-    return SearchSpec(rows=rows, trials=trials)
-
-
 def _trial_score(log: TrainLog) -> float:
     """Mean of the final ten recorded return_mean values (fewer if the log is short)."""
     returns = log.column("return_mean")
@@ -396,30 +361,30 @@ def _trial_score(log: TrainLog) -> float:
     return float(np.mean(returns[-10:]))
 
 
-def random_search(spec: SearchSpec, base: RunConfig, rng: np.random.Generator) -> list[dict]:
-    """Sample, train, and rank `spec.trials` configurations around `base`.
+def random_search(base: RunConfig, trials: int, rng: np.random.Generator) -> list[dict]:
+    """Sample, train, and rank ``trials`` configurations around ``base``.
 
-    Each sampled row applicable to the base algorithm is drawn log-uniformly;
-    fixed rows are pinned to their stated values.  Trials run on the base
-    seeds; the score is the across-seed mean of _trial_score.  Diverging
-    trials score nan and sort last.  Writes `search.csv` under base.out_dir
-    and returns the ranked trial dicts.  Each trial records the value of every
-    log-sampled field, in spec order; fields the base algorithm does not
-    sample keep the base value.
+    Each SEARCH_TABLE field is set in table order: a log entry that lists
+    the base algorithm is drawn log-uniformly, a fixed entry takes its value.
+    Trials run on the base seeds; the score is the across-seed mean of
+    _trial_score.  Diverging trials score nan and sort last.  Writes
+    ``search.csv`` under base.out_dir and returns the ranked trial dicts.
+    Each trial records the value of every log entry's field, in table order;
+    fields the base algorithm does not sample keep the base value.
     """
+    if trials < 1:
+        raise ConfigError(f"trial count must be >= 1, got {trials}")
     base.validate()
-    recorded = list(dict.fromkeys(row.name for row in spec.rows if row.sampling == "log"))
-    trials = []
-    for index in range(spec.trials):
+    recorded = [name for name, entry in SEARCH_TABLE.items() if entry[0] == "log"]
+    results = []
+    for index in range(trials):
         tcfg = replace(base.trainer)
-        for row in spec.rows:
-            if row.sampling == "fixed":
-                value = _NUMERIC[_FIELD_TYPES[row.name]](row.value)
-            elif base.algorithm in row.applies_to:
-                value = float(np.exp(rng.uniform(np.log(row.low), np.log(row.high))))
-            else:
-                continue
-            setattr(tcfg, row.name, value)
+        for name, entry in SEARCH_TABLE.items():
+            if entry[0] == "fixed":
+                setattr(tcfg, name, entry[1])
+            elif base.algorithm in entry[3]:
+                low, high = entry[1:3]
+                setattr(tcfg, name, float(np.exp(rng.uniform(np.log(low), np.log(high)))))
         status = "ok"
         scores = []
         for seed in base.seeds:
@@ -428,7 +393,7 @@ def random_search(spec: SearchSpec, base: RunConfig, rng: np.random.Generator) -
             if outcome.status != "ok":
                 status = "diverged"
             scores.append(_trial_score(outcome.log))
-        trials.append(
+        results.append(
             {
                 "trial": index,
                 **{name: getattr(tcfg, name) for name in recorded},
@@ -437,7 +402,7 @@ def random_search(spec: SearchSpec, base: RunConfig, rng: np.random.Generator) -
             }
         )
     ranked = sorted(
-        trials,
+        results,
         key=lambda t: (math.isnan(t["score"]), -t["score"] if not math.isnan(t["score"]) else 0.0),
     )
     os.makedirs(base.out_dir, exist_ok=True)

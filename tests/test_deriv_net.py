@@ -149,7 +149,8 @@ def test_jacobian_only_pass_matches_the_full_pass(single):
     assert fast.jacobian.tobytes() == full.jacobian.tobytes()
     assert fast.value.tobytes() == full.value.tobytes()
     actor = actor_net(3, 2, (8,), rng)
-    assert actor.forward_with_action_derivs(S, hessian=False).hessian is None
+    with pytest.raises(ValueError, match="no action derivatives"):
+        actor.forward_with_action_derivs(S, None, hessian=False)
 
 
 def test_public_entry_points_promote_other_inputs_to_the_float64_bytes():
@@ -354,6 +355,10 @@ def _rebuilt(net):
 def _assert_passes_follow_params(net, S, A):
     ref = _rebuilt(net)
     assert np.array_equal(net.forward(S, A), ref.forward(S, A))
+    if net.action_dim == 0:  # no action derivatives; the actor's other pass is its vjp
+        cot = np.ones((S.shape[0], net.out_dim))
+        assert np.array_equal(net.param_vjp(S, A)[1](cot), ref.param_vjp(S, A)[1](cot))
+        return
     got, want = net.forward_with_action_derivs(S, A), ref.forward_with_action_derivs(S, A)
     for a, b in ((got.value, want.value), (got.jacobian, want.jacobian), (got.hessian, want.hessian)):
         assert np.array_equal(a, b)
@@ -419,7 +424,7 @@ def test_adam_in_place_matches_textbook_formula_bitwise():
     m_obj, v_obj = state.m, state.v
     params = rng.normal(size=n)
     ref, m, v = params.copy(), np.zeros(n), np.zeros(n)
-    b1, b2, eps, lr = state.beta1, state.beta2, state.eps, 3e-3
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, 3e-3
     for t in range(1, 301):
         # magnitudes from 1e-9 to 1e4 within one gradient, with exact zeros
         g = rng.normal(size=n) * 10.0 ** rng.uniform(-9, 4, size=n)
@@ -528,4 +533,23 @@ def test_checkpoint_truncated_rejected(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
     with pytest.raises(ValueError, match="values"):
+        load_params(net, path)
+
+
+def test_checkpoint_partial_value_rejected(tmp_path):
+    """A blob that is not a whole number of float64 values is a damaged checkpoint."""
+    net = critic_net(2, 1, (5, 5), np.random.default_rng(10))
+    path = tmp_path / "net.ckpt"
+    save_params(net, path)
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(ValueError, match=r"^bad checkpoint: .* not a whole number of float64"):
+        load_params(net, path)
+
+
+def test_checkpoint_non_ascii_header_rejected(tmp_path):
+    net = critic_net(2, 1, (5, 5), np.random.default_rng(10))
+    path = tmp_path / "net.ckpt"
+    save_params(net, path)
+    path.write_bytes(b"dims=\xff\xfe\n" + path.read_bytes().split(b"\n", 1)[1])
+    with pytest.raises(ValueError, match=r"^bad checkpoint header .* not ASCII"):
         load_params(net, path)

@@ -48,7 +48,6 @@ from smoothie_rl.harness import (
     ENVIRONMENTS,
     TRAINERS,
     default_run_config,
-    default_search_spec,
     dump_config,
     make_env,
     random_search,
@@ -141,7 +140,7 @@ def test_run_summary_golden(tmp_path, algorithm, want):
 )
 def test_search_csv_golden(tmp_path, algorithm, want):
     base = _tiny_bumps(algorithm, tmp_path, (0,))
-    random_search(default_search_spec(trials=2), base, np.random.default_rng(0))
+    random_search(base, 2, np.random.default_rng(0))
     with open(tmp_path / "search.csv") as fh:
         assert _sha1(fh.read()) == want
 

@@ -2,7 +2,8 @@
 
 import csv
 import os
-from typing import get_type_hints
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -13,18 +14,17 @@ from smoothie_rl import cli
 from smoothie_rl import harness
 from smoothie_rl.deriv_net import DivergenceError
 from smoothie_rl.harness import (
+    ALGORITHMS,
+    SEARCH_TABLE,
     SUMMARY_COLUMNS,
     ConfigError,
     RunConfig,
-    SearchRow,
-    SearchSpec,
     default_run_config,
     dump_config,
     make_env,
     parse_config,
     random_search,
     run,
-    default_search_spec,
 )
 from smoothie_rl.smoothie import TrainerConfig, TrainLog
 
@@ -91,6 +91,7 @@ def test_parse_comments_blanks_and_overrides():
         (MINIMAL + "track_behavior_density = false\n", "line 3: unknown key"),
         (MINIMAL + "wallclock = true\n", "line 3: unknown key"),
         (MINIMAL + "seeds = \n", "at least one"),
+        (MINIMAL + "seeds = 1, 1\n", "line 3: seeds repeats seed 1"),
         (MINIMAL + "out_dir = \n", "empty"),
         (MINIMAL + "phi_lr = -1\n", "positive"),
         (MINIMAL + "phi_init = nan\n", "line 3"),
@@ -254,77 +255,115 @@ def test_run_reports_divergence(tmp_path, monkeypatch):
 # -------------------------------------------------------------------- search
 
 
+def _search_table_problems(table):
+    """Each way an entry of a search table fails to fit TrainerConfig's
+    declared fields or the algorithm table, as one message per fault."""
+    problems = []
+    for name, entry in table.items():
+        hint = harness._FIELD_TYPES.get(name)
+        if hint is None:
+            problems.append(f"{name!r} names no TrainerConfig field that a config file sets")
+            continue
+        types_ = get_args(hint) if isinstance(hint, UnionType) else (get_origin(hint) or hint,)
+        takes = harness._PARSERS[hint][1]
+        if entry[0] == "log":
+            _, low, high, algorithms = entry
+            if float not in types_:
+                problems.append(f"{name!r} is sampled as a float, but {name} takes {takes}")
+            if not 0.0 < low <= high:
+                problems.append(f"{name!r} has log range [{low}, {high}], not positive and ordered")
+            problems.extend(f"{name!r} lists unknown algorithm {a!r}"
+                            for a in algorithms if a not in ALGORITHMS)
+        elif entry[0] == "fixed":
+            if type(entry[1]) not in types_:
+                problems.append(f"{name!r} fixes {entry[1]!r}, but {name} takes {takes}")
+        else:
+            problems.append(f"{name!r} has kind {entry[0]!r}, not log or fixed")
+    return problems
+
+
 def test_search_spec_validation():
-    with pytest.raises(ValueError):
-        SearchRow("actor_lr", "grid")
-    with pytest.raises(ValueError):
-        SearchRow("actor_lr", "log", 0.0, 1e-3)
-    with pytest.raises(ValueError):
-        SearchSpec(rows=(), trials=0)
+    """Every SEARCH_TABLE entry names a config field; log entries are float
+    fields with 0 < low <= high and known algorithms; fixed values have their
+    field's declared type."""
+    assert _search_table_problems(SEARCH_TABLE) == []
+
+
+@pytest.mark.parametrize(
+    "entry,fragment",
+    [
+        pytest.param({"no_such_field": ("log", 1e-3, 1e-2, ALGORITHMS)},
+                     "names no TrainerConfig field", id="log-no_such_field"),
+        pytest.param({"seed": ("fixed", 1)}, "names no TrainerConfig field", id="fixed-seed"),
+        pytest.param({"batch_size": ("log", 1e-3, 1e-2, ALGORITHMS)}, "takes an integer",
+                     id="log-batch_size"),
+        pytest.param({"actor_lr": ("log", 0.0, 1e-3, ALGORITHMS)}, "not positive and ordered",
+                     id="log-zero-low"),
+        pytest.param({"actor_lr": ("log", 1e-3, 1e-4, ALGORITHMS)}, "not positive and ordered",
+                     id="log-reversed"),
+        pytest.param({"kl_coeff": ("log", 1e-6, 1e-2, ("sac",))}, "unknown algorithm 'sac'",
+                     id="log-unknown-algorithm"),
+        pytest.param({"freeze_sigma": ("fixed", 1.0)}, "takes true or false", id="fixed-freeze_sigma"),
+        pytest.param({"hidden": ("fixed", 1.0)}, "takes comma-separated integers", id="fixed-hidden"),
+        pytest.param({"batch_size": ("fixed", 128.0)}, "takes an integer", id="fixed-float-batch_size"),
+        pytest.param({"gamma": ("fixed", True)}, "takes a number", id="fixed-bool-gamma"),
+        pytest.param({"actor_lr": ("grid", 1e-3)}, "not log or fixed", id="grid"),
+    ],
+)
+def test_search_table_check_flags_bad_entries(entry, fragment):
+    """The table check above finds each kind of bad entry, once."""
+    problems = _search_table_problems(entry)
+    assert len(problems) == 1 and fragment in problems[0]
+    assert repr(next(iter(entry))) in problems[0]
 
 
 def test_default_search_spec_contents():
-    spec = default_search_spec(trials=7)
-    assert spec.trials == 7
-    by_name = {r.name: r for r in spec.rows}
-    assert by_name["kl_coeff"].applies_to == ("smoothie_kl",)
-    assert by_name["ou_stddev"].applies_to == ("ddpg",)
-    assert by_name["gamma"].sampling == "fixed"
-    assert by_name["gamma"].value == 0.995
-    assert by_name["actor_lr"].low == 1e-6 and by_name["actor_lr"].high == 1e-3
+    assert SEARCH_TABLE["kl_coeff"] == ("log", 1e-6, 4e-2, ("smoothie_kl",))
+    assert SEARCH_TABLE["ou_stddev"][3] == ("ddpg",)
+    assert SEARCH_TABLE["actor_lr"] == ("log", 1e-6, 1e-3, ALGORITHMS)
+    assert SEARCH_TABLE["gamma"] == ("fixed", 0.995)
+    assert SEARCH_TABLE["batch_size"] == ("fixed", 128)
+
+
+_SEARCH_COLUMNS = "actor_lr,critic_lr,reward_scale,ou_damping,ou_stddev,kl_coeff"
 
 
 def test_random_search_ranks_and_writes(tmp_path):
     base = _tiny_config(tmp_path)
-    spec = SearchSpec(
-        rows=(
-            SearchRow("actor_lr", "log", 1e-5, 1e-4),
-            SearchRow("gamma", "fixed", value=0.9),
-        ),
-        trials=3,
-    )
-    ranked = random_search(spec, base, np.random.default_rng(0))
+    ranked = random_search(base, 3, np.random.default_rng(0))
     assert len(ranked) == 3
     scores = [t["score"] for t in ranked]
     assert scores == sorted(scores, reverse=True)
-    assert all(1e-5 <= t["actor_lr"] <= 1e-4 for t in ranked)
+    assert all(1e-6 <= t["actor_lr"] <= 1e-3 for t in ranked)
     path = os.path.join(base.out_dir, "search.csv")
     with open(path) as fh:
         lines = fh.read().strip().split("\n")
-    assert lines[0] == "rank,trial,actor_lr,score,status"
+    assert lines[0] == f"rank,trial,{_SEARCH_COLUMNS},score,status"
     assert len(lines) == 4
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "2"]
     assert all(line.endswith(",ok") for line in lines[1:])
 
 
 def test_random_search_records_every_log_row(tmp_path):
-    base = _tiny_config(tmp_path)
-    spec = SearchSpec(rows=(SearchRow("tau", "log", 1e-3, 1e-1),), trials=2)
-    ranked = random_search(spec, base, np.random.default_rng(0))
+    """search.csv holds every log entry's field in table order: the sampled
+    ones as drawn, the ones the algorithm does not sample at the base value."""
+    base = _tiny_config(tmp_path, "smoothie_kl")
+    ranked = random_search(base, 2, np.random.default_rng(0))
     with open(os.path.join(base.out_dir, "search.csv")) as fh:
         rows = list(csv.DictReader(fh))
-    assert list(rows[0]) == ["rank", "trial", "tau", "score", "status"]
-    taus = [float(r["tau"]) for r in rows]
-    assert taus == [float(f"{t['tau']:.9g}") for t in ranked]
-    assert all(1e-3 <= t <= 1e-1 for t in taus) and taus[0] != taus[1]
-
-
-@pytest.mark.parametrize(
-    "name,fragment",
-    [("no_such_field", "names no TrainerConfig field"), ("batch_size", "takes an integer")],
-)
-def test_random_search_rejects_bad_row_before_training(tmp_path, monkeypatch, name, fragment):
-    def no_training(cfg, seed):
-        raise AssertionError("a trial ran")
-
-    monkeypatch.setattr(harness, "_build_trainer", no_training)
-    with pytest.raises(ValueError, match=fragment) as err:
-        spec = SearchSpec(rows=(SearchRow(name, "log", 1e-3, 1e-2),), trials=1)
-        random_search(spec, _tiny_config(tmp_path), np.random.default_rng(0))
-    assert repr(name) in str(err.value)
+    assert list(rows[0]) == ["rank", "trial", *_SEARCH_COLUMNS.split(","), "score", "status"]
+    for name in _SEARCH_COLUMNS.split(","):
+        values = [float(r[name]) for r in rows]
+        assert values == [float(f"{t[name]:.9g}") for t in ranked]
+        _, low, high, algorithms = SEARCH_TABLE[name]
+        if "smoothie_kl" in algorithms:
+            assert all(low <= v <= high for v in values) and values[0] != values[1]
+        else:
+            assert values == [getattr(base.trainer, name)] * 2
 
 
 def test_random_search_fixed_rows_convert_by_field_type(tmp_path, monkeypatch):
+    """A trial takes each fixed entry's value as it is, of its field's type."""
     seen = []
 
     def record(cfg, seed):
@@ -332,19 +371,12 @@ def test_random_search_fixed_rows_convert_by_field_type(tmp_path, monkeypatch):
         return _FakeDivergingTrainer()
 
     monkeypatch.setattr(harness, "_build_trainer", record)
-    base = default_run_config("smoothie", "pointmass")  # phi_lr is None here
+    base = default_run_config("smoothie", "pointmass")
     base.out_dir, base.seeds = str(tmp_path / "out"), (0,)
-    rows = (SearchRow("phi_lr", "fixed", value=1e-3), SearchRow("batch_size", "fixed", value=64.0))
-    random_search(SearchSpec(rows=rows, trials=1), base, np.random.default_rng(0))
-    assert [(t.phi_lr, t.batch_size) for t in seen] == [(1e-3, 64)]
-    assert type(seen[0].batch_size) is int
-
-
-@pytest.mark.parametrize("name,fragment", [("freeze_sigma", "true or false"), ("hidden", "integers")])
-def test_fixed_search_row_rejects_non_numeric_field(name, fragment):
-    with pytest.raises(ValueError, match=fragment) as err:
-        SearchRow(name, "fixed", value=1.0)
-    assert repr(name) in str(err.value)
+    random_search(base, 1, np.random.default_rng(0))
+    fixed = {name: entry[1] for name, entry in SEARCH_TABLE.items() if entry[0] == "fixed"}
+    assert {name: getattr(seen[0], name) for name in fixed} == fixed
+    assert type(seen[0].batch_size) is int and seen[0].phi_lr is None
 
 
 def test_random_search_nan_scores_sort_last(tmp_path, monkeypatch):
@@ -359,8 +391,7 @@ def test_random_search_nan_scores_sort_last(tmp_path, monkeypatch):
 
     monkeypatch.setattr(harness, "_build_trainer", sometimes_diverge)
     base = _tiny_config(tmp_path)
-    spec = SearchSpec(rows=(SearchRow("actor_lr", "log", 1e-5, 1e-4),), trials=2)
-    ranked = random_search(spec, base, np.random.default_rng(1))
+    ranked = random_search(base, 2, np.random.default_rng(1))
     assert ranked[-1]["status"] == "diverged"
     assert np.isnan(ranked[-1]["score"])
     assert ranked[0]["status"] == "ok"
@@ -467,6 +498,26 @@ def test_cli_search_ok(tmp_path, monkeypatch):
     code = cli.main(["search", "--config", path, "--trials", "2", "--out", str(tmp_path / "out")])
     assert code == 0
     assert (tmp_path / "out" / "search.csv").exists()
+
+
+def test_cli_search_rejects_zero_trials(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(harness, "_build_trainer", lambda cfg, seed: _FakeDivergingTrainer())
+    path = _write_config(tmp_path, MINIMAL)
+    out = tmp_path / "out"
+    assert cli.main(["search", "--config", path, "--trials", "0", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert "trial count must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "search"])
+def test_cli_rejects_a_repeated_seed(command, tmp_path, monkeypatch, capsys):
+    """A repeated --seed would train one seed twice into the same log file."""
+    monkeypatch.setattr(harness, "_build_trainer", lambda cfg, seed: _FakeDivergingTrainer())
+    path = _write_config(tmp_path, MINIMAL)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", path, "--seed", "1,2,1", "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == "config error: --seed repeats seed 1\n"
+    assert not out.exists()
 
 
 def test_cli_landscape(tmp_path, monkeypatch):

@@ -20,7 +20,7 @@ def _load(name):
 
 
 @pytest.mark.parametrize("script", ["run_bumps", "run_pointmass"])
-@pytest.mark.parametrize("seeds", ["x", "0,y", ""])
+@pytest.mark.parametrize("seeds", ["x", "0,y", "", "0,1,0"])
 def test_bad_seeds_give_config_error(script, seeds, tmp_path, capsys):
     code = _load(script).main(["--seeds", seeds, "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
@@ -84,6 +84,7 @@ def test_fingerprint_prints_one_line_per_run(capsys):
     (["--steps", "0"], "config error: --steps must be >= 1"),
     (["--seeds", "x"], "config error: --seeds "),
     (["--algorithms", "sac"], "config error: --algorithms: unknown algorithm "),
+    (["--seeds", "2,2"], "config error: --seeds repeats seed 2"),
 ])
 def test_fingerprint_rejects_bad_input(argv, err, capsys):
     assert _load("fingerprint").main(argv) == cli.EXIT_CONFIG

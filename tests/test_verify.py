@@ -112,17 +112,10 @@ def test_chain_env_mechanics():
     env = TwoStateChain()
     assert env.reward_fn(0, 0.5) == pytest.approx(1.0)
     assert env.reward_fn(1, -0.5) == pytest.approx(0.8)
-    rng = np.random.default_rng(0)
-    obs = env.reset(rng)
-    np.testing.assert_array_equal(obs, [0.0])
-    sr = env.step(np.array([0.7]), rng)
-    np.testing.assert_array_equal(sr.next_observation, [1.0])
-    assert not sr.done
-    sr = env.step(np.array([0.3]), rng)  # positive action in state 1 stays
-    np.testing.assert_array_equal(sr.next_observation, [1.0])
-    sr = env.step(np.array([-5.0]), rng)  # clipped to -3, crosses back
-    np.testing.assert_array_equal(sr.next_observation, [0.0])
-    assert sr.reward == pytest.approx(float(env.reward_fn(1, -3.0)))
+    np.testing.assert_allclose(env.reward_fn(1, np.array([-0.5, 0.5])),
+                               0.8 * np.exp(-np.array([0.0, 2.0])))
+    assert env.crosses(0, 0.7) and not env.crosses(0, -0.7) and not env.crosses(0, 0.0)
+    assert env.crosses(1, -0.3) and not env.crosses(1, 0.3) and not env.crosses(1, 0.0)
 
 
 def test_smoothed_chain_oracle_self_consistent():
