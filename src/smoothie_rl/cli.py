@@ -78,14 +78,11 @@ def _cmd_search(args) -> int:
 def _cmd_landscape(args) -> int:
     env = BumpsBandit()
     if args.sigma <= 0.0:
-        print("landscape: --sigma must be positive", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--sigma must be positive")
     if args.points < 1:
-        print("landscape: --points must be at least 1", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--points must be at least 1")
     if not args.out:
-        print("landscape: --out must not be empty", file=sys.stderr)
-        return EXIT_CONFIG
+        raise ConfigError("--out must not be empty")
     lo, hi = float(env.spec.action_low[0]), float(env.spec.action_high[0])
     grid = np.linspace(lo, hi, args.points)
     raw = env.reward_fn(grid)

@@ -74,7 +74,6 @@ SEARCH_TABLE = {
     "gamma": ("fixed", 0.995),
     "tau": ("fixed", 0.01),
     "batch_size": ("fixed", 128),
-    "q_grad_clip": ("fixed", 4.0),
     "huber_clip": ("fixed", 1.0),
 }
 
@@ -105,6 +104,7 @@ class RunConfig:
         _known("environment", self.environment)
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        _distinct(self.seeds, "seeds")
         if not self.out_dir:
             raise ConfigError("out_dir must not be empty")
         self.trainer.validate()
@@ -174,17 +174,19 @@ def _parse(hint, raw: str, where: str):
 
 
 def parse_seeds(raw: str, where: str) -> tuple[int, ...]:
-    """Distinct seeds from comma-separated text; ``where`` names the source in errors.
-
-    A repeated seed would train twice into the same log file.
-    """
+    """Distinct seeds from comma-separated text; ``where`` names the source in errors."""
     seeds = _parse(tuple[int, ...], raw, where)
     if not seeds:
         raise ConfigError(f"{where} needs at least one integer")
+    _distinct(seeds, where)
+    return seeds
+
+
+def _distinct(seeds: tuple[int, ...], where: str) -> None:
+    """Reject a repeated seed, which would train twice into the same log file."""
     for k, seed in enumerate(seeds):
         if seed in seeds[:k]:
             raise ConfigError(f"{where} repeats seed {seed}")
-    return seeds
 
 
 def parse_algorithms(raw: str, where: str) -> tuple[str, ...]:

@@ -34,6 +34,10 @@ class Batch(NamedTuple):
     D: np.ndarray
 
 
+# Capacity of every trainer's replay ring.
+CAPACITY = 100_000
+
+
 class ReplayBuffer:
     """Fixed-capacity ring of column arrays; oldest transitions are evicted first.
 
@@ -43,7 +47,7 @@ class ReplayBuffer:
     memory, though a short run writes only a small part of it.
     """
 
-    def __init__(self, capacity: int = 100_000):
+    def __init__(self, capacity: int = CAPACITY):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)

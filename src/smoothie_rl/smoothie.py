@@ -33,13 +33,16 @@ from .deriv_net import (
     polyak_update,
 )
 from .gauss_math import kl_terms
-from .replay import Batch, ReplayBuffer, Transition, phantom_actions
+from .replay import CAPACITY, Batch, ReplayBuffer, Transition, phantom_actions
 
 # Variance clamp, wide enough that it never binds in ordinary runs.
 VAR_MIN = 1e-8
 VAR_MAX = 1e4
 _LOG_VAR_MIN = float(np.log(VAR_MIN))
 _LOG_VAR_MAX = float(np.log(VAR_MAX))
+
+# Global-norm clip of every critic gradient step.
+Q_GRAD_CLIP = 4.0
 
 TRAIN_LOG_COLUMNS = ("step", "return_mean", "sigma_min", "sigma_mean", "sigma_max", "kl", "td_loss")
 
@@ -55,14 +58,13 @@ CONFIG_RANGES = {
     "critic_lr": (lambda v: v > 0.0, "must be positive"),
     "reward_scale": (lambda v: v > 0.0, "must be positive"),
     "huber_clip": (lambda v: v > 0.0, "must be positive"),
-    "q_grad_clip": (lambda v: v > 0.0, "must be positive"),
     "kl_coeff": (lambda v: v >= 0.0, "must be nonnegative"),
     "phi_init": (lambda v: np.isfinite(v), "must be finite"),
     "mu_init": (lambda v: v is None or np.isfinite(v), "must be finite or none"),
-    "batch_size": (lambda v: v >= 1, "must be >= 1"),
+    # A batch larger than the replay ring could never be sampled.
+    "batch_size": (lambda v: 1 <= v <= CAPACITY, f"must lie in [1, {CAPACITY}], the replay capacity"),
     "total_steps": (lambda v: v >= 1, "must be >= 1"),
     "warmup_steps": (lambda v: v >= 0, "must be >= 0"),
-    "buffer_capacity": (lambda v: v >= 1, "must be >= 1"),
     "record_interval": (lambda v: v >= 1, "must be >= 1"),
     "eval_interval": (lambda v: v >= 1, "must be >= 1"),
     "ou_damping": (lambda v: v > 0.0, "must be positive"),
@@ -90,11 +92,9 @@ class TrainerConfig:
     total_steps: int = 5000
     warmup_steps: int = 0  # critic-only steps before policy updates begin
     reward_scale: float = 0.1
-    q_grad_clip: float = 4.0
     huber_clip: float = 1.0
     phi_init: float = -1.0
     hidden: tuple[int, ...] = (64, 64)
-    buffer_capacity: int = 100_000
     record_interval: int = 100
     eval_interval: int = 1000
     ou_damping: float = 3.162e-4
@@ -108,9 +108,6 @@ class TrainerConfig:
             value = getattr(self, name)
             if not ok(value):
                 raise ValueError(f"{name} {msg}, got {value!r}")
-        if self.batch_size > self.buffer_capacity:
-            raise ValueError(f"batch_size {self.batch_size} exceeds buffer_capacity "
-                             f"{self.buffer_capacity}, so no batch could ever be sampled")
 
 
 def csv_row(values) -> str:
@@ -250,7 +247,7 @@ def bellman_step(
     if not math.isfinite(loss):
         raise DivergenceError("non-finite critic loss")
     grad = vjp((hder / B)[:, None])
-    adam_step(critic.params, clip_global_norm(grad, cfg.q_grad_clip), cfg.critic_lr, opt)
+    adam_step(critic.params, clip_global_norm(grad, Q_GRAD_CLIP), cfg.critic_lr, opt)
     return loss
 
 
@@ -364,7 +361,7 @@ class Trainer:
             shift_output_bias(self.actor, ref, np.full(d_a, cfg.mu_init))
         self.critic = critic_net(d_s, d_a, cfg.hidden, self.rngs["init"])
         self.critic_target = self.critic.clone()
-        self.buffer = ReplayBuffer(cfg.buffer_capacity)
+        self.buffer = ReplayBuffer()
         self.opt_critic = AdamState.for_params(self.critic.n_params)
         self.log = TrainLog()
         self.last_td = 0.0

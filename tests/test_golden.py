@@ -23,7 +23,12 @@ columns were deleted.  Each new text is the old one with the `ms` field
 dropped from the header and from every row (the log's last field, the
 summary's fifth), or, for `dump_config`, minus its six `wallclock = false`
 lines; a script that applies that transformation to the old output
-reproduces the new bytes exactly.  No value in any row moved.
+reproduces the new bytes exactly.  No value in any row moved.  The
+`dump_config` hash was re-captured once more when the `q_grad_clip` and
+`buffer_capacity` fields, which every config set to 4.0 and 100000, became
+the constants `smoothie.Q_GRAD_CLIP` and `replay.CAPACITY`: the new text is
+the old text minus its `q_grad_clip = 4.0` and `buffer_capacity = 100000`
+lines, six of each.
 
 The smoothie_kl/pointmass case at the default batch of 128 (the other log
 cases run at 32) also pins the final critic and mean-net parameter bytes,
@@ -147,4 +152,4 @@ def test_search_csv_golden(tmp_path, algorithm, want):
 
 def test_dump_config_golden():
     text = "".join(dump_config(default_run_config(a, e)) for a in ALGORITHMS for e in ENVIRONMENTS)
-    assert _sha1(text) == "ab6b8b1053d30ae1f84d575aeb1ef5364276081b"
+    assert _sha1(text) == "731bc651e30488f460248aaea6056b6d530f7533"

@@ -2,6 +2,7 @@
 
 import csv
 import os
+from dataclasses import replace
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -90,6 +91,9 @@ def test_parse_comments_blanks_and_overrides():
         (MINIMAL + "phi_optimizer = adam\n", "line 3: unknown key"),
         (MINIMAL + "track_behavior_density = false\n", "line 3: unknown key"),
         (MINIMAL + "wallclock = true\n", "line 3: unknown key"),
+        (MINIMAL + "q_grad_clip = 4.0\n", "line 3: unknown key"),
+        (MINIMAL + "buffer_capacity = 100000\n", "line 3: unknown key"),
+        (MINIMAL + "batch_size = 100001\n", "line 3: batch_size must lie in [1, 100000]"),
         (MINIMAL + "seeds = \n", "at least one"),
         (MINIMAL + "seeds = 1, 1\n", "line 3: seeds repeats seed 1"),
         (MINIMAL + "out_dir = \n", "empty"),
@@ -447,10 +451,10 @@ def test_cli_train_bad_seed_and_bad_content(tmp_path):
     assert cli.main(["train", "--config", good, "--seed", "x,y"]) == cli.EXIT_CONFIG
     for command in ("train", "search"):
         assert cli.main([command, "--config", good, "--out", ""]) == cli.EXIT_CONFIG
-    small = _write_config(tmp_path, MINIMAL + "buffer_capacity = 10\n")
+    oversized = _write_config(tmp_path, MINIMAL + "batch_size = 100001\n")
     out = str(tmp_path / "out")
     for command in ("train", "search"):
-        assert cli.main([command, "--config", small, "--out", out]) == cli.EXIT_CONFIG
+        assert cli.main([command, "--config", oversized, "--out", out]) == cli.EXIT_CONFIG
     assert not (tmp_path / "out").exists()
 
 
@@ -520,7 +524,19 @@ def test_cli_rejects_a_repeated_seed(command, tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_cli_landscape(tmp_path, monkeypatch):
+@pytest.mark.parametrize("call", [run, lambda cfg: random_search(cfg, 1, np.random.default_rng(0))],
+                         ids=["run", "random_search"])
+def test_repeated_seed_rejected_before_any_write(call, tmp_path, monkeypatch):
+    """A RunConfig built in code gets the same repeated-seed check as parsed seeds."""
+    monkeypatch.setattr(harness, "_build_trainer", lambda cfg, seed: _FakeDivergingTrainer())
+    cfg = replace(default_run_config("smoothie", "bumps"), seeds=(0, 1, 0),
+                  out_dir=str(tmp_path / "out"))
+    with pytest.raises(ConfigError, match="^seeds repeats seed 0$"):
+        call(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_landscape(tmp_path, monkeypatch, capsys):
     code = cli.main(["landscape", "--out", str(tmp_path), "--points", "41", "--sigma", "1.0"])
     assert code == 0
     with open(tmp_path / "landscape.csv") as fh:
@@ -528,6 +544,10 @@ def test_cli_landscape(tmp_path, monkeypatch):
     assert lines[0] == "a,reward,smoothed"
     assert len(lines) == 42
     monkeypatch.chdir(tmp_path)
-    for bad in (["--sigma", "-1"], ["--out", ""], ["--points", "0"]):
+    capsys.readouterr()
+    for bad, err in ((["--sigma", "-1"], "--sigma must be positive"),
+                     (["--out", ""], "--out must not be empty"),
+                     (["--points", "0"], "--points must be at least 1")):
         assert cli.main(["landscape", *bad]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"config error: {err}\n"
     assert not (tmp_path / "runs").exists()

@@ -14,7 +14,7 @@ from smoothie_rl import harness
 from smoothie_rl.deriv_net import AdamState, DerivNet, DivergenceError, Layer, critic_net
 from smoothie_rl.envs import BumpsBandit, StepResult
 from smoothie_rl.gauss_math import gh_quadrature, kl_terms
-from smoothie_rl.replay import ReplayBuffer, Transition
+from smoothie_rl.replay import CAPACITY, ReplayBuffer, Transition
 from smoothie_rl.smoothie import (
     VAR_MAX,
     SmoothiePolicy,
@@ -72,20 +72,20 @@ def _batch(rng, n=16, state_dim=1, action_dim=1, done=False):
         {"phi_lr": 0.0},
         {"batch_size": 0},
         {"total_steps": 0},
-        {"buffer_capacity": 0},
+        {"kl_coeff": float("nan")},
         {"record_interval": 0},
         {"eval_interval": 0},
         {"ou_stddev": 0.0},
         {"kl_coeff": -1e-6},
         {"warmup_steps": -1},
-        {"q_grad_clip": 0.0},
+        {"gamma": float("nan")},
         {"actor_lr": float("nan")},
         {"ou_damping": 0.0},
         {"hidden": (8,)},
         {"hidden": (0, 4)},
         {"phi_init": float("nan")},
         {"mu_init": float("inf")},
-        {"batch_size": 65, "buffer_capacity": 64},
+        {"batch_size": 100_001},  # more than the replay ring holds
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -97,6 +97,7 @@ def test_config_rejects_bad_values(overrides):
 def test_config_defaults_validate():
     TrainerConfig().validate()
     TrainerConfig(phi_lr=None, mu_init=None).validate()
+    TrainerConfig(batch_size=CAPACITY).validate()
 
 
 def test_every_config_field_is_read():
